@@ -245,7 +245,8 @@ std::unique_ptr<tuner::Objective> bdcats_objective(bool as_kernel,
       paper_testbed(seed), as_kernel ? kernel_options() : wl::RunOptions{});
 }
 
-std::unique_ptr<core::TunIO> trained_tunio(const cfg::ConfigSpace& space) {
+std::unique_ptr<core::TunIO> trained_tunio(const cfg::ConfigSpace& space,
+                                           double* early_stop_train_s) {
   auto tunio = std::make_unique<core::TunIO>(space);
   std::printf("[offline] sweeping representative kernels (VPIC, FLASH, "
               "HACC) + PCA; training early-stop agent on synthetic log "
@@ -262,7 +263,14 @@ std::unique_ptr<core::TunIO> trained_tunio(const cfg::ConfigSpace& space) {
   auto hacc = tuner::make_workload_objective(
       std::shared_ptr<const wl::Workload>(wl::make_hacc(paper_hacc())), tb,
       kernel_options());
-  tunio->train_offline({vpic.get(), flash.get(), hacc.get()});
+  tunio->smart_config().train_offline({vpic.get(), flash.get(), hacc.get()});
+  const auto early_start = std::chrono::steady_clock::now();
+  tunio->early_stopping().train_offline();
+  if (early_stop_train_s != nullptr) {
+    *early_stop_train_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - early_start)
+                              .count();
+  }
 
   std::printf("[offline] impact ranking:");
   const auto& impact = tunio->smart_config().impact_scores();

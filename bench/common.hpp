@@ -92,8 +92,10 @@ std::unique_ptr<tuner::Objective> bdcats_objective(bool as_kernel = false,
                                                    std::uint64_t seed = 4);
 
 /// A TunIO instance offline-trained on the VPIC/FLASH/HACC sweep kernels
-/// (§III-C/D). Prints a short training report.
-std::unique_ptr<core::TunIO> trained_tunio(const cfg::ConfigSpace& space);
+/// (§III-C/D). Prints a short training report; `early_stop_train_s`, if
+/// given, receives the host seconds the early stopper's training took.
+std::unique_ptr<core::TunIO> trained_tunio(
+    const cfg::ConfigSpace& space, double* early_stop_train_s = nullptr);
 
 /// Prints a tuning curve as "iteration, best bandwidth, minutes" rows.
 void print_curve(const std::string& label, const tuner::TuningResult& result,

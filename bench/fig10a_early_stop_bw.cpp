@@ -9,11 +9,35 @@
 // heuristic-based early stopper ... decided to stop [at iteration 14],
 // achieving only 1.2 GB/s bandwidth ... a mere 2x performance
 // improvement."
+#include <chrono>
 #include <cstdio>
 
 #include "common.hpp"
 
 using namespace tunio;
+
+namespace {
+
+/// Mean host microseconds per online `stop()` call of a trained stopper
+/// fed `curve`'s best-so-far bandwidth until it stops.
+double mean_stop_decision_us(core::EarlyStopping stopper,
+                             const tuner::TuningResult& curve) {
+  stopper.reset_episode();
+  double total_us = 0.0;
+  unsigned calls = 0;
+  for (const tuner::GenerationStats& generation : curve.history) {
+    const auto start = std::chrono::steady_clock::now();
+    const bool stop = stopper.stop(generation.generation, generation.best_perf);
+    total_us += std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    ++calls;
+    if (stop) break;
+  }
+  return calls == 0 ? 0.0 : total_us / calls;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bench::init(argc, argv, "fig10a_early_stop_bw");
@@ -22,7 +46,10 @@ int main(int argc, char** argv) {
                 "the iteration 10-20 plateau, stopping at 14 with only 2x");
 
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
-  auto tunio = bench::trained_tunio(space);
+  double early_stop_train_s = 0.0;
+  auto tunio = bench::trained_tunio(space, &early_stop_train_s);
+  // The trained stopper as the runs below receive it, for timing.
+  const core::EarlyStopping trained_stopper = tunio->early_stopping();
   // The paper's GA needed ~35 of 50 iterations on its stack; our
   // simulated surface is easier, so the pipeline uses a conservative GA
   // (small population, low mutation) whose curve has the same shape:
@@ -85,5 +112,11 @@ int main(int argc, char** argv) {
   bench::value("heuristic_tuned_mbps", heuristic_run.result.best_perf,
                "MB/s", /*gate=*/true);
   bench::value("untuned_mbps", untuned, "MB/s", /*gate=*/true);
+  // Host cost of the RL agent (wall-clock, so never gated).
+  bench::value("early_stop_train_s", early_stop_train_s, "s", /*gate=*/false,
+               bench::Direction::kLowerIsBetter);
+  bench::value("stop_decision_us",
+               mean_stop_decision_us(trained_stopper, reference.result), "us",
+               /*gate=*/false, bench::Direction::kLowerIsBetter);
   return bench::finish();
 }

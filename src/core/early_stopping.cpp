@@ -32,13 +32,12 @@ std::vector<double> EarlyStopping::train_offline() {
     for (unsigned episode = 0; episode < options_.episodes_per_epoch;
          ++episode) {
       rl::LogCurveEpisode curve(options_.curve_params, rng_);
-      std::vector<double> best_history;
+      std::vector<double> best_history{curve.best_perf_at(0)};
+      std::vector<double> state =
+          rl::early_stop_state(0, curve.max_iterations(), best_history);
       double prev_return = 0.0;
       double episode_reward = 0.0;
       for (unsigned t = 0; t < curve.max_iterations(); ++t) {
-        best_history.push_back(curve.best_perf_at(t));
-        const std::vector<double> state = rl::early_stop_state(
-            t, curve.max_iterations(), best_history);
         std::size_t action = agent_.select(state);
         if (t + 1 < options_.min_iterations) action = kContinue;
         const double now_return = curve.stop_return(t);
@@ -49,15 +48,15 @@ std::vector<double> EarlyStopping::train_offline() {
         episode_reward += reward;
         const bool terminal =
             action == kStop || t + 1 == curve.max_iterations();
-        std::vector<double> next_state = state;
-        if (!terminal) {
-          std::vector<double> next_history = best_history;
-          next_history.push_back(curve.best_perf_at(t + 1));
-          next_state = rl::early_stop_state(t + 1, curve.max_iterations(),
-                                            next_history);
+        if (terminal) {
+          agent_.observe(state, action, reward, state, true);
+          break;
         }
-        agent_.observe(state, action, reward, next_state, terminal);
-        if (terminal) break;
+        best_history.push_back(curve.best_perf_at(t + 1));
+        std::vector<double> next_state = rl::early_stop_state(
+            t + 1, curve.max_iterations(), best_history);
+        agent_.observe(state, action, reward, next_state, false);
+        state = std::move(next_state);
       }
       agent_.learn(4);
       reward_sum += episode_reward;

@@ -87,6 +87,10 @@ class SmartConfigGen {
 
   bool offline_trained() const { return offline_trained_; }
 
+  /// The State Observer and Subset Picker networks' owners.
+  const rl::StateObserver& observer() const { return observer_; }
+  const rl::QAgent& picker() const { return picker_; }
+
  private:
   std::vector<double> context_vector(const std::vector<std::size_t>& subset,
                                      double norm_perf,

@@ -36,6 +36,11 @@ class Matrix {
   /// y = A^T * x (x.size() == rows).
   std::vector<double> multiply_transposed(const std::vector<double>& x) const;
 
+  /// Unchecked, allocation-free forms: `x` holds cols() (resp. rows())
+  /// values and `y` receives rows() (resp. cols()).
+  void multiply(const double* x, double* y) const;
+  void multiply_transposed(const double* x, double* y) const;
+
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

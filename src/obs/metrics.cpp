@@ -28,7 +28,7 @@ void Histogram::observe(double value, const std::string& exemplar) {
 }
 
 void Histogram::add_bucketed(const std::vector<std::uint64_t>& counts,
-                             double sum) {
+                             double sum, double max) {
   TUNIO_CHECK_MSG(counts.size() == counts_.size(),
                   "bucketed merge arity mismatch");
   std::uint64_t total = 0;
@@ -38,6 +38,13 @@ void Histogram::add_bucketed(const std::vector<std::uint64_t>& counts,
   }
   count_.fetch_add(total, std::memory_order_relaxed);
   sum_.add(sum);
+  if (total == 0) return;
+  std::lock_guard<std::mutex> lock(exemplar_mutex_);
+  if (!has_max_ || max > max_) {
+    max_ = max;
+    has_max_ = true;
+    exemplar_.clear();  // bulk samples carry no label
+  }
 }
 
 std::uint64_t MetricsSnapshot::counter(const std::string& name) const {

@@ -75,10 +75,12 @@ class Histogram {
   /// label of the largest sample seen so far is kept.
   void observe(double value, const std::string& exemplar = {});
 
-  /// Bulk-merges pre-bucketed counts (one per bound, plus overflow);
-  /// used by simulator teardown flushes that already kept Darshan-style
-  /// size buckets. `counts` must have `bounds().size() + 1` entries.
-  void add_bucketed(const std::vector<std::uint64_t>& counts, double sum);
+  /// Bulk-merges pre-bucketed counts (one per bound, plus overflow) with
+  /// their sum and largest sample; used by simulator teardown flushes that
+  /// already kept Darshan-style size buckets. `counts` must have
+  /// `bounds().size() + 1` entries; an empty merge leaves max alone.
+  void add_bucketed(const std::vector<std::uint64_t>& counts, double sum,
+                    double max);
 
   const std::vector<double>& bounds() const { return bounds_; }
 

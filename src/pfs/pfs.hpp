@@ -92,6 +92,9 @@ struct PfsProfile {
 struct SizeHistogram {
   static constexpr std::size_t kBuckets = 5;
   std::array<std::uint64_t, kBuckets> counts{};
+  /// Largest access recorded. A running maximum: a difference of two
+  /// snapshots keeps the later one's.
+  Bytes max = 0;
 
   void record(Bytes size);
   std::uint64_t total() const;

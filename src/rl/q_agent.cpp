@@ -13,24 +13,32 @@ QAgent::QAgent(std::size_t state_dim, std::size_t num_actions, Rng rng,
            {options.learning_rate}),
       target_({state_dim, options.hidden, options.hidden, num_actions}, rng_,
               {options.learning_rate}),
-      replay_(options.replay_capacity),
+      replay_(options.replay_capacity, state_dim),
       epsilon_(options.epsilon) {
   TUNIO_CHECK_MSG(num_actions_ > 0, "agent needs at least one action");
   target_.copy_from(net_);
 }
+
+namespace {
+
+std::size_t argmax(std::span<const double> q) {
+  return static_cast<std::size_t>(
+      std::max_element(q.begin(), q.end()) - q.begin());
+}
+
+}  // namespace
 
 std::size_t QAgent::select(const std::vector<double>& state) {
   epsilon_ = std::max(options_.epsilon_min, epsilon_ * options_.epsilon_decay);
   if (rng_.chance(epsilon_)) {
     return rng_.index(num_actions_);
   }
-  return best_action(state);
+  return argmax(net_.forward(state, scratch_));
 }
 
 std::size_t QAgent::best_action(const std::vector<double>& state) const {
-  const std::vector<double> q = net_.forward(state);
-  return static_cast<std::size_t>(
-      std::max_element(q.begin(), q.end()) - q.begin());
+  nn::Activations scratch;
+  return argmax(net_.forward(state, scratch));
 }
 
 std::vector<double> QAgent::q_values(const std::vector<double>& state) const {
@@ -41,6 +49,9 @@ void QAgent::observe(const std::vector<double>& state, std::size_t action,
                      double reward, const std::vector<double>& next_state,
                      bool terminal) {
   TUNIO_CHECK_MSG(action < num_actions_, "action out of range");
+  TUNIO_CHECK_MSG(state.size() == net_.input_size() &&
+                      next_state.size() == net_.input_size(),
+                  "state width mismatch");
   // Credit the incoming reward to every pending (not yet mature)
   // transition: an action's value is judged by the rewards that follow it
   // over the delay window, not by the instantaneous gain.
@@ -61,7 +72,7 @@ void QAgent::observe(const std::vector<double>& state, std::size_t action,
 void QAgent::mature_pending(bool flush) {
   while (!pending_.empty() &&
          (flush || pending_.front().age >= options_.reward_delay)) {
-    replay_.push(std::move(pending_.front().transition));
+    replay_.push(pending_.front().transition);
     pending_.pop_front();
   }
 }
@@ -69,15 +80,16 @@ void QAgent::mature_pending(bool flush) {
 void QAgent::learn(std::size_t steps) {
   if (replay_.empty()) return;
   for (std::size_t s = 0; s < steps; ++s) {
-    const auto batch = replay_.sample(options_.batch_size, rng_);
-    for (const Transition* t : batch) {
-      double target = t->reward;
-      if (!t->terminal) {
-        const std::vector<double> next_q = target_.forward(t->next_state);
+    for (std::size_t b = 0; b < options_.batch_size; ++b) {
+      const TransitionView t = replay_.sample(rng_);
+      double target = t.reward;
+      if (!t.terminal) {
+        const std::span<const double> next_q =
+            target_.forward(t.next_state, scratch_);
         target += options_.gamma *
                   *std::max_element(next_q.begin(), next_q.end());
       }
-      net_.train_output(t->state, t->action, target);
+      net_.train_output(t.state, t.action, target);
     }
     target_.soft_update_from(net_, options_.target_tau);
   }

@@ -43,6 +43,7 @@ class QAgent {
   std::size_t select(const std::vector<double>& state);
 
   /// Greedy action (no exploration, no decay) — evaluation mode.
+  /// Like q_values, safe to call concurrently on a shared agent.
   std::size_t best_action(const std::vector<double>& state) const;
 
   /// Q-values for a state.
@@ -56,12 +57,16 @@ class QAgent {
                double reward, const std::vector<double>& next_state,
                bool terminal);
 
-  /// Several gradient steps on replayed experience.
+  /// Several gradient steps on replayed experience; allocates nothing.
   void learn(std::size_t steps = 1);
 
   double epsilon() const { return epsilon_; }
   void set_epsilon(double epsilon) { epsilon_ = epsilon; }
   std::size_t replay_size() const { return replay_.size(); }
+
+  /// The online Q-network and its slowly tracking target copy.
+  const nn::DenseNet& network() const { return net_; }
+  const nn::DenseNet& target_network() const { return target_; }
 
  private:
   struct Pending {
@@ -79,6 +84,7 @@ class QAgent {
   ReplayBuffer replay_;
   std::deque<Pending> pending_;
   double epsilon_;
+  nn::Activations scratch_;  ///< select()/learn() forward passes
 };
 
 }  // namespace tunio::rl

@@ -2,7 +2,12 @@
 // approximation), PCA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -110,6 +115,154 @@ TEST(DenseNet, SoftUpdateMovesTowardSource) {
   // Mismatched architectures are rejected.
   DenseNet c({3, 1}, rng);
   EXPECT_THROW(a.soft_update_from(c, 0.5), Error);
+}
+
+/// Textbook Adam on a ReLU MLP (MSE on one output head), written with
+/// plain loops and none of DenseNet's flushing or shortcuts. It follows
+/// DenseNet's conventions — row-major weights, sums in index order, the
+/// error propagated back through the freshly updated weights — so the
+/// two must agree bit for bit.
+class ReferenceMlp {
+ public:
+  ReferenceMlp(std::vector<std::size_t> sizes, const std::vector<double>& init,
+               AdamParams adam)
+      : sizes_(std::move(sizes)), adam_(adam) {
+    std::size_t next = 0;
+    for (std::size_t l = 0; l + 1 < sizes_.size(); ++l) {
+      const std::size_t n_w = sizes_[l] * sizes_[l + 1];
+      w_.emplace_back(init.begin() + next, init.begin() + next + n_w);
+      next += n_w;
+      b_.emplace_back(init.begin() + next, init.begin() + next + sizes_[l + 1]);
+      next += sizes_[l + 1];
+      m_w_.emplace_back(n_w, 0.0);
+      v_w_.emplace_back(n_w, 0.0);
+      m_b_.emplace_back(sizes_[l + 1], 0.0);
+      v_b_.emplace_back(sizes_[l + 1], 0.0);
+    }
+  }
+
+  std::vector<double> forward(const std::vector<double>& x) {
+    a_.assign(1, x);
+    for (std::size_t l = 0; l < w_.size(); ++l) {
+      const std::size_t in = sizes_[l];
+      std::vector<double> z(sizes_[l + 1]);
+      for (std::size_t o = 0; o < z.size(); ++o) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < in; ++i) sum += w_[l][o * in + i] * a_[l][i];
+        z[o] = sum + b_[l][o];
+        if (l + 1 < w_.size()) z[o] = std::max(0.0, z[o]);  // ReLU
+      }
+      a_.push_back(z);
+    }
+    return a_.back();
+  }
+
+  void train_output(const std::vector<double>& x, std::size_t k,
+                    double target) {
+    std::vector<double> delta(sizes_.back(), 0.0);
+    delta[k] = 2.0 * (forward(x)[k] - target);
+    ++step_;
+    const double bc1 = 1.0 - std::pow(adam_.beta1, static_cast<double>(step_));
+    const double bc2 = 1.0 - std::pow(adam_.beta2, static_cast<double>(step_));
+    for (std::size_t l = w_.size(); l-- > 0;) {
+      const std::size_t in = sizes_[l];
+      if (l + 1 < w_.size()) {
+        for (std::size_t o = 0; o < delta.size(); ++o) {
+          if (a_[l + 1][o] <= 0.0) delta[o] = 0.0;
+        }
+      }
+      for (std::size_t o = 0; o < delta.size(); ++o) {
+        for (std::size_t i = 0; i < in; ++i) {
+          adam(w_[l][o * in + i], m_w_[l][o * in + i], v_w_[l][o * in + i],
+               delta[o] * a_[l][i], bc1, bc2);
+        }
+        adam(b_[l][o], m_b_[l][o], v_b_[l][o], delta[o], bc1, bc2);
+      }
+      if (l > 0) {
+        std::vector<double> back(in, 0.0);
+        for (std::size_t o = 0; o < delta.size(); ++o) {
+          for (std::size_t i = 0; i < in; ++i) {
+            back[i] += w_[l][o * in + i] * delta[o];
+          }
+        }
+        delta = back;
+      }
+    }
+  }
+
+  std::vector<double> parameters() const {
+    std::vector<double> out;
+    for (std::size_t l = 0; l < w_.size(); ++l) {
+      out.insert(out.end(), w_[l].begin(), w_[l].end());
+      out.insert(out.end(), b_[l].begin(), b_[l].end());
+    }
+    return out;
+  }
+
+  /// Adam updates that read a subnormal first moment.
+  std::uint64_t subnormal_moment_reads() const { return subnormal_reads_; }
+
+ private:
+  void adam(double& w, double& m, double& v, double g, double bc1,
+            double bc2) {
+    if (std::fpclassify(m) == FP_SUBNORMAL) ++subnormal_reads_;
+    m = adam_.beta1 * m + (1.0 - adam_.beta1) * g;
+    v = adam_.beta2 * v + (1.0 - adam_.beta2) * g * g;
+    w -= adam_.learning_rate * (m / bc1) / (std::sqrt(v / bc2) + adam_.epsilon);
+  }
+
+  std::vector<std::size_t> sizes_;
+  AdamParams adam_;
+  std::vector<std::vector<double>> w_, b_, m_w_, v_w_, m_b_, v_b_;
+  std::vector<std::vector<double>> a_;
+  std::uint64_t step_ = 0;
+  std::uint64_t subnormal_reads_ = 0;
+};
+
+TEST(DenseNet, MatchesTextbookAdamBitForBit) {
+  // The agents' shape of problem: single-head Q updates on a ReLU stack
+  // whose dead units leave first moments decaying into the subnormal
+  // range, where DenseNet flushes them and skips zero-gradient updates.
+  const std::vector<std::size_t> sizes{5, 24, 24, 3};
+  const AdamParams adam{2e-3};
+  Rng init(41);
+  DenseNet net(sizes, init, adam);
+  ReferenceMlp reference(sizes, net.parameters(), adam);
+  Rng data(43);
+  for (int step = 0; step < 20000; ++step) {
+    std::vector<double> x(sizes.front());
+    for (double& v : x) v = data.uniform(0.0, 1.0);
+    x[1] -= 0.5;
+    const std::size_t head = data.index(sizes.back());
+    const double target = x[0] - x[1] + 0.25 * static_cast<double>(head);
+    net.train_output(x, head, target);
+    reference.train_output(x, head, target);
+  }
+  EXPECT_GT(reference.subnormal_moment_reads(), 0u);
+  const std::vector<double> got = net.parameters();
+  const std::vector<double> want = reference.parameters();
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
+  const std::vector<double> probe{0.5, 0.0, 0.5, 0.25, 0.75};
+  EXPECT_EQ(net.forward(probe), reference.forward(probe));
+}
+
+TEST(DenseNet, SharedScratchForwardMatchesAllocatingForward) {
+  Rng rng(47);
+  const DenseNet net({3, 7, 5, 2}, rng);
+  Activations scratch;
+  for (int i = 0; i < 4; ++i) {
+    const std::vector<double> x{0.1 * i, 1.0 - 0.2 * i, 0.3};
+    const std::span<const double> out = net.forward(x, scratch);
+    EXPECT_EQ(std::vector<double>(out.begin(), out.end()), net.forward(x));
+  }
 }
 
 TEST(Pca, RecoversDominantDirection) {

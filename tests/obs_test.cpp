@@ -145,8 +145,9 @@ TEST(Metrics, AddBucketedMergesTeardownFlushes) {
   std::vector<std::uint64_t> counts(buckets, 0);
   counts[0] = 7;
   counts[buckets - 1] = 2;
-  h.add_bucketed(counts, 1234.0);
-  h.add_bucketed(counts, 1.0);
+  h.add_bucketed(counts, 1234.0, 20e6);
+  h.add_bucketed(counts, 1.0, 30e6);
+  h.add_bucketed(std::vector<std::uint64_t>(buckets, 0), 0.0, 99e6);
 
   const MetricsSnapshot snap = registry.snapshot();
   const MetricsSnapshot::HistogramValue* v = snap.histogram("sizes");
@@ -155,6 +156,7 @@ TEST(Metrics, AddBucketedMergesTeardownFlushes) {
   EXPECT_EQ(v->counts[buckets - 1], 4u);
   EXPECT_EQ(v->count, 18u);
   EXPECT_DOUBLE_EQ(v->sum, 1235.0);
+  EXPECT_DOUBLE_EQ(v->max, 30e6);  // an empty merge does not move it
 }
 
 TEST(Metrics, ResetZeroesButKeepsInstrumentIdentity) {

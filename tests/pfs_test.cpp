@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/layout.hpp"
 #include "pfs/pfs.hpp"
 
@@ -96,6 +97,31 @@ TEST(PfsSimulator, CreateOpenRemove) {
   fs.remove("/a", 0.0);
   EXPECT_FALSE(fs.exists("/a"));
   EXPECT_THROW(fs.open("/a", 0.0), Error);
+}
+
+TEST(PfsSimulator, PublishedSizeHistogramsCarryTheLargestAccess) {
+  {
+    PfsSimulator fs;
+    fs.create("/sizes", 0.0);
+    fs.write("/sizes", 0.0, 0, 3 * MiB + 17);
+    fs.write("/sizes", 0.0, 0, 100 * KiB);
+    fs.read("/sizes", 0.0, 0, 70 * KiB);
+    EXPECT_EQ(fs.counters().write_sizes.max, 3 * MiB + 17);
+    EXPECT_EQ(fs.counters().read_sizes.max, 70 * KiB);
+  }  // teardown publishes to the registry
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  for (const char* name : {"pfs.write_size_bytes", "pfs.read_size_bytes"}) {
+    const obs::MetricsSnapshot::HistogramValue* h = snap.histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    std::size_t top = h->counts.size();
+    while (top > 0 && h->counts[top - 1] == 0) --top;
+    ASSERT_GT(top, 0u) << name;
+    // Bucket k holds samples above bounds[k-1]: the max must reach it.
+    const double lower = top == 1 ? 0.0 : h->bounds[top - 2];
+    EXPECT_GT(h->max, lower) << name;
+  }
+  EXPECT_GE(snap.histogram("pfs.write_size_bytes")->max, 3.0 * MiB + 17);
+  EXPECT_GE(snap.histogram("pfs.read_size_bytes")->max, 70.0 * KiB);
 }
 
 TEST(PfsSimulator, WriteAdvancesTimeAndSize) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "rl/log_curve_env.hpp"
@@ -15,27 +17,35 @@ namespace tunio::rl {
 namespace {
 
 TEST(ReplayBuffer, RingSemantics) {
-  ReplayBuffer buffer(4);
+  ReplayBuffer buffer(4, 1);
   EXPECT_TRUE(buffer.empty());
   for (int i = 0; i < 10; ++i) {
     Transition t;
+    t.state = {i * 1.0};
     t.reward = i;
-    buffer.push(std::move(t));
+    t.next_state = {i + 0.5};
+    buffer.push(t);
   }
   EXPECT_EQ(buffer.size(), 4u);  // capped
   Rng rng(1);
-  const auto batch = buffer.sample(16, rng);
-  EXPECT_EQ(batch.size(), 16u);
-  for (const Transition* t : batch) {
-    EXPECT_GE(t->reward, 6.0);  // only the last four survive
+  for (int i = 0; i < 16; ++i) {
+    const TransitionView t = buffer.sample(rng);
+    EXPECT_GE(t.reward, 6.0);  // only the last four survive
+    // The flat slots keep each transition's fields together.
+    EXPECT_EQ(t.state[0], t.reward);
+    EXPECT_EQ(t.next_state[0], t.reward + 0.5);
   }
-  EXPECT_THROW(ReplayBuffer(0), Error);
+  EXPECT_THROW(ReplayBuffer(0, 1), Error);
+  Transition wide;
+  wide.state = {1.0, 2.0};
+  wide.next_state = {1.0, 2.0};
+  EXPECT_THROW(buffer.push(wide), Error);
 }
 
 TEST(ReplayBuffer, SampleFromEmptyThrows) {
-  ReplayBuffer buffer(4);
+  ReplayBuffer buffer(4, 1);
   Rng rng(1);
-  EXPECT_THROW(buffer.sample(1, rng), Error);
+  EXPECT_THROW(buffer.sample(rng), Error);
 }
 
 TEST(QAgent, LearnsContextualBanditPreference) {
@@ -102,6 +112,55 @@ TEST(QAgent, RejectsBadActions) {
   QAgent agent(1, 2, Rng(3));
   EXPECT_THROW(agent.observe({0.0}, 7, 0.0, {0.0}, false), Error);
   EXPECT_THROW(QAgent(1, 0, Rng(3)), Error);
+}
+
+TEST(QAgent, ConcurrentQueriesOnSharedConstAgentAgree) {
+  // Inference writes nothing in the agent, so threads may share one.
+  QAgentOptions options;
+  options.reward_delay = 1;
+  QAgent trainee(3, 4, Rng(29), options);
+  Rng rng(31);
+  std::vector<std::vector<double>> states;
+  for (int i = 0; i < 64; ++i) {
+    states.push_back({rng.uniform(), rng.uniform(-1, 1), rng.uniform()});
+  }
+  for (int i = 0; i < 200; ++i) {
+    const auto& state = states[i % states.size()];
+    trainee.observe(state, trainee.select(state), state[0] - state[1], state,
+                    true);
+    trainee.learn(1);
+  }
+  const QAgent& agent = trainee;
+  std::vector<std::vector<double>> expected_q;
+  std::vector<std::size_t> expected_best;
+  for (const auto& state : states) {
+    expected_q.push_back(agent.q_values(state));
+    expected_best.push_back(agent.best_action(state));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        for (std::size_t i = 0; i < states.size(); ++i) {
+          if (agent.q_values(states[i]) != expected_q[i]) ++mismatches[t];
+          if (agent.best_action(states[i]) != expected_best[i]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+}
+
+TEST(QAgent, RejectsMismatchedStateWidth) {
+  QAgent agent(2, 2, Rng(3));
+  EXPECT_THROW(agent.observe({0.0}, 0, 0.0, {0.0, 0.0}, false), Error);
+  EXPECT_THROW(agent.observe({0.0, 0.0}, 0, 0.0, {0.0}, false), Error);
 }
 
 TEST(StateObserver, LearnsPerfPrediction) {
