@@ -24,6 +24,7 @@
 
 #include "common.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "discovery/discovery.hpp"
 #include "interp/interp.hpp"
 #include "mpisim/mpisim.hpp"
@@ -143,6 +144,7 @@ struct SourceResult {
   double seed_wall = 0.0;    // seed semantics: 3 interpreted sims/eval
   double interp_wall = 0.0;  // single-sim averaging, interpreted
   double replay_wall = 0.0;  // single-sim averaging, replayed
+  double replay_us_per_eval = 0.0;
   bool identical = true;
 };
 
@@ -173,11 +175,12 @@ SourceResult run_source(const std::string& name, const std::string& source,
   r.identical = results_identical(kernel.kernel, configs, ranks);
 
   const double evals = static_cast<double>(configs.size()) * rounds;
+  r.replay_us_per_eval = 1e6 * r.replay_wall / evals;
   std::printf(
       "  %-10s seed %7.1f us/eval   interp-once %6.1f us/eval   "
       "replay %6.1f us/eval   speedup %5.2fx   bit-identical: %s\n",
       name.c_str(), 1e6 * r.seed_wall / evals, 1e6 * r.interp_wall / evals,
-      1e6 * r.replay_wall / evals, r.seed_wall / r.replay_wall,
+      r.replay_us_per_eval, r.seed_wall / r.replay_wall,
       r.identical ? "yes" : "NO — BUG");
   return r;
 }
@@ -253,9 +256,11 @@ int run(int argc, char** argv) {
   double log_speedup_sum = 0.0;
   double log_sim_speedup_sum = 0.0;
   bool identical = true;
+  std::vector<double> replay_us_8r;
   for (const auto& [name, source] : sources) {
     const SourceResult r =
         run_source(name, source, configs, kRanks, kRounds, kReps);
+    replay_us_8r.push_back(r.replay_us_per_eval);
     log_speedup_sum += std::log(r.seed_wall / r.replay_wall);
     log_sim_speedup_sum += std::log(r.interp_wall / r.replay_wall);
     identical = identical && r.identical;
@@ -267,9 +272,11 @@ int run(int argc, char** argv) {
 
   section("paper-scale testbed (128 ranks): collectives dominate both paths");
   double log_paper_sum = 0.0;
+  std::vector<double> replay_us_128r;
   for (const auto& [name, source] : sources) {
     const SourceResult r =
         run_source(name, source, configs, kPaperRanks, kPaperRounds, kReps);
+    replay_us_128r.push_back(r.replay_us_per_eval);
     log_paper_sum += std::log(r.seed_wall / r.replay_wall);
     identical = identical && r.identical;
   }
@@ -288,6 +295,13 @@ int run(int argc, char** argv) {
   value("replay_speedup_x_geomean", speedup_geomean, "x", /*gate=*/true);
   value("replay_vs_interp_once_x_geomean", sim_speedup_geomean, "x");
   value("papertb_speedup_x_geomean", paper_geomean, "x");
+  // Absolute host cost of one replayed evaluation (median over the five
+  // kernels): what a tuning job pays per evaluation once the trace is
+  // recorded. Ungated, like every wall-clock reading.
+  value("replay_us_per_eval_8r", percentile(replay_us_8r, 50.0), "us",
+        /*gate=*/false, Direction::kLowerIsBetter);
+  value("replay_us_per_eval_128r", percentile(replay_us_128r, 50.0), "us",
+        /*gate=*/false, Direction::kLowerIsBetter);
   value("results_identical", identical ? 1.0 : 0.0, "bool", /*gate=*/true);
 
   const bool ok = identical && speedup_geomean >= 5.0;

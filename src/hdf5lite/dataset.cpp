@@ -1,6 +1,7 @@
 #include "hdf5lite/dataset.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "hdf5lite/file.hpp"
@@ -16,6 +17,42 @@ constexpr Bytes kBtreeRecordBytes = 160;
 constexpr Bytes kAttributeBytes = 256;
 
 }  // namespace
+
+std::size_t Dataset::ChunkIndex::home_slot(std::uint64_t chunk) const {
+  return static_cast<std::size_t>((chunk * 0x9E3779B97F4A7C15ULL) >>
+                                  slot_shift_);
+}
+
+std::optional<Bytes> Dataset::ChunkIndex::find(std::uint64_t chunk) const {
+  if (slots_.empty()) return std::nullopt;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home_slot(chunk);; i = (i + 1) & mask) {
+    const std::uint32_t id = slots_[i];
+    if (id == kNil) return std::nullopt;
+    if (entries_[id].chunk == chunk) return entries_[id].offset;
+  }
+}
+
+void Dataset::ChunkIndex::insert(std::uint64_t chunk, Bytes offset) {
+  TUNIO_CHECK_MSG(entries_.size() < kNil, "too many chunks in one dataset");
+  entries_.push_back(Entry{chunk, offset});
+  if (2 * entries_.size() <= slots_.size()) {
+    index_insert(static_cast<std::uint32_t>(entries_.size() - 1));
+    return;
+  }
+  // Grow: the index holds 4-byte entry ids, so rebuilding it is cheap.
+  const std::size_t size = slots_.empty() ? 16 : 2 * slots_.size();
+  slots_.assign(size, kNil);
+  slot_shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+  for (std::uint32_t id = 0; id < entries_.size(); ++id) index_insert(id);
+}
+
+void Dataset::ChunkIndex::index_insert(std::uint32_t id) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home_slot(entries_[id].chunk);
+  while (slots_[i] != kNil) i = (i + 1) & mask;
+  slots_[i] = id;
+}
 
 Dataset::Dataset(File& file, std::string name, Bytes elem_size,
                  std::uint64_t num_elements, const DatasetCreateProps& dcpl,
@@ -48,10 +85,13 @@ const ChunkCacheStats* Dataset::cache_stats() const {
 }
 
 Bytes Dataset::ensure_chunk_allocated(std::uint64_t chunk_index) {
-  auto it = chunk_offsets_.find(chunk_index);
-  if (it != chunk_offsets_.end()) return it->second;
+  const std::optional<Bytes> offset = chunk_offsets_.find(chunk_index);
+  return offset ? *offset : allocate_chunk(chunk_index);
+}
+
+Bytes Dataset::allocate_chunk(std::uint64_t chunk_index) {
   const Bytes offset = file_.meta().alloc_raw(chunk_bytes());
-  chunk_offsets_.emplace(chunk_index, offset);
+  chunk_offsets_.insert(chunk_index, offset);
   // Chunk-index insertion: B-tree record update.
   file_.meta().meta_update(kBtreeRecordBytes);
   return offset;
@@ -217,11 +257,10 @@ void Dataset::write_chunked(const std::vector<Selection>& selections,
                             const TransferProps& dxpl) {
   std::vector<ByteExtent> direct_writes;
   for (const Selection& sel : selections) {
-    std::uint64_t element = sel.start_element;
+    std::uint64_t chunk_index = sel.start_element / chunk_elements_;
+    std::uint64_t within = sel.start_element % chunk_elements_;
     std::uint64_t remaining = sel.count;
-    while (remaining > 0) {
-      const std::uint64_t chunk_index = element / chunk_elements_;
-      const std::uint64_t within = element % chunk_elements_;
+    for (; remaining > 0; ++chunk_index, within = 0) {
       const std::uint64_t take =
           std::min<std::uint64_t>(remaining, chunk_elements_ - within);
       const Bytes covered = take * elem_size_;
@@ -229,15 +268,17 @@ void Dataset::write_chunked(const std::vector<Selection>& selections,
       // Chunk-index traversal: one metadata lookup per chunk touch.
       file_.meta().meta_lookup(kBtreeRecordBytes);
 
-      const bool allocated = chunk_offsets_.count(chunk_index) > 0;
+      // The one index lookup of this touch. Its answer stays valid below:
+      // a bypass evicts nothing, and a pre-read implies the chunk already
+      // had file space (offsets never move once allocated).
+      const std::optional<Bytes> allocated = chunk_offsets_.find(chunk_index);
       const CacheOutcome outcome = cache_->touch_write(
-          {sel.rank, chunk_index}, covered, allocated);
+          {sel.rank, chunk_index}, covered, allocated.has_value());
 
-      for (const ChunkKey& victim : outcome.evicted_dirty) {
-        write_back_chunk(victim);
-      }
+      if (outcome.evicted_dirty) write_back_chunk(*outcome.evicted_dirty);
       if (outcome.bypass) {
-        const Bytes chunk_off = ensure_chunk_allocated(chunk_index);
+        const Bytes chunk_off =
+            allocated ? *allocated : allocate_chunk(chunk_index);
         if (outcome.needs_preread) {
           ++stats_.chunk_prereads;
           file_.mpiio().read_at(sel.rank, chunk_off, chunk_bytes());
@@ -247,10 +288,8 @@ void Dataset::write_chunked(const std::vector<Selection>& selections,
       } else if (outcome.needs_preread) {
         // Partial write to a non-resident, existing chunk: fetch it.
         ++stats_.chunk_prereads;
-        const Bytes chunk_off = ensure_chunk_allocated(chunk_index);
-        file_.mpiio().read_at(sel.rank, chunk_off, chunk_bytes());
+        file_.mpiio().read_at(sel.rank, *allocated, chunk_bytes());
       }
-      element += take;
       remaining -= take;
     }
   }
@@ -261,19 +300,16 @@ void Dataset::read_chunked(const std::vector<Selection>& selections,
                            const TransferProps& dxpl) {
   std::vector<ByteExtent> direct_reads;
   for (const Selection& sel : selections) {
-    std::uint64_t element = sel.start_element;
+    std::uint64_t chunk_index = sel.start_element / chunk_elements_;
+    std::uint64_t within = sel.start_element % chunk_elements_;
     std::uint64_t remaining = sel.count;
-    while (remaining > 0) {
-      const std::uint64_t chunk_index = element / chunk_elements_;
-      const std::uint64_t within = element % chunk_elements_;
+    for (; remaining > 0; ++chunk_index, within = 0) {
       const std::uint64_t take =
           std::min<std::uint64_t>(remaining, chunk_elements_ - within);
 
       file_.meta().meta_lookup(kBtreeRecordBytes);
       const CacheOutcome outcome = cache_->touch_read({sel.rank, chunk_index});
-      for (const ChunkKey& victim : outcome.evicted_dirty) {
-        write_back_chunk(victim);
-      }
+      if (outcome.evicted_dirty) write_back_chunk(*outcome.evicted_dirty);
       const Bytes chunk_off = ensure_chunk_allocated(chunk_index);
       if (outcome.bypass) {
         direct_reads.push_back(
@@ -282,7 +318,6 @@ void Dataset::read_chunked(const std::vector<Selection>& selections,
         // Miss: the whole chunk is fetched into the cache.
         file_.mpiio().read_at(sel.rank, chunk_off, chunk_bytes());
       }
-      element += take;
       remaining -= take;
     }
   }

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,37 @@ class Dataset {
     Bytes length = 0;
   };
 
+  /// File offset of every allocated chunk, keyed by chunk index: entries
+  /// in allocation order plus an open-addressing index over them (linear
+  /// probing, power-of-two size, at most half full), the chunk cache's
+  /// layout without deletion. Memory grows with the chunks actually
+  /// allocated, never with the dataset's declared extent — extents come
+  /// from untrusted mini-C programs.
+  class ChunkIndex {
+   public:
+    /// Offset of `chunk`, or nullopt while it has no file space.
+    std::optional<Bytes> find(std::uint64_t chunk) const;
+    /// Records the offset of a chunk not yet in the index.
+    void insert(std::uint64_t chunk, Bytes offset);
+
+   private:
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+
+    struct Entry {
+      std::uint64_t chunk = 0;
+      Bytes offset = 0;
+    };
+
+    std::size_t home_slot(std::uint64_t chunk) const;
+    /// Records entry `id` in the index.
+    void index_insert(std::uint32_t id);
+
+    std::vector<Entry> entries_;
+    /// Entry index per slot, kNil = empty.
+    std::vector<std::uint32_t> slots_;
+    unsigned slot_shift_ = 64;  ///< 64 - log2(slots_.size())
+  };
+
   void write_contiguous(const std::vector<Selection>& selections,
                         const TransferProps& dxpl);
   void write_chunked(const std::vector<Selection>& selections,
@@ -105,6 +137,8 @@ class Dataset {
 
   /// Ensures the chunk has file space; returns its offset.
   Bytes ensure_chunk_allocated(std::uint64_t chunk_index);
+  /// Gives a chunk without file space its space; returns the offset.
+  Bytes allocate_chunk(std::uint64_t chunk_index);
 
   /// Writes a full chunk back (cache eviction / flush).
   void write_back_chunk(const ChunkKey& key);
@@ -122,7 +156,7 @@ class Dataset {
   std::uint64_t chunk_elements_ = 0;  ///< 0 = contiguous
 
   Bytes base_offset_ = 0;  ///< contiguous layout only
-  std::map<std::uint64_t, Bytes> chunk_offsets_;  ///< chunked layout
+  ChunkIndex chunk_offsets_;  ///< chunked layout
   std::unique_ptr<ChunkCache> cache_;
   std::map<unsigned, SieveWindow> sieves_;  ///< per-rank sieve windows
   bool last_dxpl_collective_ = false;

@@ -27,7 +27,7 @@ void Histogram::observe(double value, const std::string& exemplar) {
   }
 }
 
-void Histogram::add_bucketed(const std::vector<std::uint64_t>& counts,
+void Histogram::add_bucketed(std::span<const std::uint64_t> counts,
                              double sum, double max) {
   TUNIO_CHECK_MSG(counts.size() == counts_.size(),
                   "bucketed merge arity mismatch");

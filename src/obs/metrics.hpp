@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,7 +80,7 @@ class Histogram {
   /// their sum and largest sample; used by simulator teardown flushes that
   /// already kept Darshan-style size buckets. `counts` must have
   /// `bounds().size() + 1` entries; an empty merge leaves max alone.
-  void add_bucketed(const std::vector<std::uint64_t>& counts, double sum,
+  void add_bucketed(std::span<const std::uint64_t> counts, double sum,
                     double max);
 
   const std::vector<double>& bounds() const { return bounds_; }

@@ -16,6 +16,7 @@ StripeLayout::StripeLayout(Bytes stripe_size, unsigned stripe_count,
   TUNIO_CHECK_MSG(stripe_count_ > 0, "stripe count must be positive");
   TUNIO_CHECK_MSG(total_osts_ > 0, "OST pool must be non-empty");
   stripe_count_ = std::min(stripe_count_, total_osts_);
+  first_ost_ = ost_offset_ % total_osts_;
 }
 
 unsigned StripeLayout::ost_for(Bytes offset) const {

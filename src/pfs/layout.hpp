@@ -42,30 +42,46 @@ class StripeLayout {
   /// Visitor form of split(): invokes `visit(const StripeExtent&)` for
   /// each coalesced piece without materializing a vector. This is the
   /// simulator's inner loop — every simulated read/write decomposes its
-  /// extent — so it must not allocate.
+  /// extent — so it must not allocate, and it divides only once per
+  /// request: the stripe slot, the round and the OST are then stepped
+  /// piece by piece.
+  ///
+  /// Coalescing only ever happens when stripe_count == 1. With more
+  /// stripes, consecutive pieces sit in consecutive slots, and distinct
+  /// slots map to distinct OSTs because stripe_count <= total_osts. With
+  /// one stripe, the object offset equals the file offset, so the whole
+  /// request is a single extent.
   template <typename Visitor>
   void for_each_extent(Bytes offset, Bytes length, Visitor&& visit) const {
-    Bytes cursor = offset;
-    Bytes remaining = length;
-    StripeExtent pending;
-    bool have_pending = false;
-    while (remaining > 0) {
-      const Bytes within_stripe = cursor % stripe_size_;
-      const Bytes piece_len = std::min(remaining, stripe_size_ - within_stripe);
-      StripeExtent piece{ost_for(cursor), object_offset_for(cursor), cursor,
-                         piece_len};
-      if (have_pending && pending.ost == piece.ost &&
-          pending.object_offset + pending.length == piece.object_offset) {
-        pending.length += piece_len;
-      } else {
-        if (have_pending) visit(pending);
-        pending = piece;
-        have_pending = true;
-      }
-      cursor += piece_len;
-      remaining -= piece_len;
+    if (length == 0) return;
+    if (stripe_count_ == 1) {
+      visit(StripeExtent{first_ost_, offset, offset, length});
+      return;
     }
-    if (have_pending) visit(pending);
+    const Bytes stripe_index = offset / stripe_size_;
+    const Bytes within = offset % stripe_size_;
+    unsigned slot = static_cast<unsigned>(stripe_index % stripe_count_);
+    unsigned ost = (ost_offset_ + slot) % total_osts_;
+    Bytes round_base = stripe_index / stripe_count_ * stripe_size_;
+    StripeExtent piece{ost, round_base + within, offset,
+                       std::min(length, stripe_size_ - within)};
+    Bytes remaining = length;
+    for (;;) {
+      visit(piece);
+      remaining -= piece.length;
+      if (remaining == 0) return;
+      piece.file_offset += piece.length;
+      if (++slot == stripe_count_) {
+        slot = 0;
+        round_base += stripe_size_;
+        ost = first_ost_;
+      } else if (++ost == total_osts_) {
+        ost = 0;
+      }
+      piece.ost = ost;
+      piece.object_offset = round_base;
+      piece.length = std::min(remaining, stripe_size_);
+    }
   }
 
   /// The OST serving a given file offset.
@@ -79,6 +95,7 @@ class StripeLayout {
   unsigned stripe_count_;
   unsigned ost_offset_;
   unsigned total_osts_;
+  unsigned first_ost_;  ///< OST of stripe slot 0
 };
 
 }  // namespace tunio::pfs

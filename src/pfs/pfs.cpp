@@ -46,10 +46,6 @@ struct PfsMetrics {
   }
 };
 
-std::vector<std::uint64_t> histogram_counts(const SizeHistogram& sizes) {
-  return {sizes.counts.begin(), sizes.counts.end()};
-}
-
 }  // namespace
 
 void SizeHistogram::record(Bytes size) {
@@ -121,10 +117,10 @@ void PfsSimulator::publish_metrics() {
   metrics.rmw_bytes.add(delta.rmw_bytes);
   // Every access up to now has been published, so the running maximum
   // is also the exact maximum of the samples the registry holds.
-  metrics.read_sizes.add_bucketed(histogram_counts(delta.read_sizes),
+  metrics.read_sizes.add_bucketed(delta.read_sizes.counts,
                                   static_cast<double>(delta.bytes_read),
                                   static_cast<double>(delta.read_sizes.max));
-  metrics.write_sizes.add_bucketed(histogram_counts(delta.write_sizes),
+  metrics.write_sizes.add_bucketed(delta.write_sizes.counts,
                                    static_cast<double>(delta.bytes_written),
                                    static_cast<double>(delta.write_sizes.max));
   // OST busy time needs no flushed-baseline: every publish point rewinds

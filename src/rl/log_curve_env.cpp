@@ -60,7 +60,10 @@ LogCurveEpisode::LogCurveEpisode(const LogCurveParams& params, Rng& rng)
       value *= dip_scale;
       --dip_remaining;
     }
-    value += rng.normal(0.0, params.noise_stddev);
+    // A zero stddev is outside normal_distribution's domain: no draw.
+    if (params.noise_stddev > 0.0) {
+      value += rng.normal(0.0, params.noise_stddev);
+    }
     value = std::clamp(value, 0.0, 2.0);
     curve_.push_back(value);
     best = std::max(best, value);

@@ -1,6 +1,7 @@
 #include "service/tuning_server.hpp"
 
 #include <exception>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -35,6 +36,19 @@ struct ServerMetrics {
   }
 };
 
+/// What a terminal job gives up: its objective, which may hold a recorded
+/// trace and memo tables, and its stopper. Taken from the spec, then
+/// destroyed outside `mutex_`.
+struct Releasable {
+  std::shared_ptr<tuner::Objective> objective;
+  tuner::Stopper stopper;
+};
+
+Releasable take_releasable(JobSpec& spec) {
+  return {std::exchange(spec.objective, nullptr),
+          std::exchange(spec.stopper, nullptr)};
+}
+
 }  // namespace
 
 std::string job_state_name(JobState state) {
@@ -62,6 +76,7 @@ TuningServer::TuningServer(const cfg::ConfigSpace& space, ServerOptions options)
 }
 
 TuningServer::~TuningServer() {
+  std::vector<Releasable> released;  // destroyed after mutex_ is released
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -72,6 +87,7 @@ TuningServer::~TuningServer() {
         job->state = JobState::kCancelled;
         job->snapshot.state = JobState::kCancelled;
         ++jobs_cancelled_;
+        released.push_back(take_releasable(job->spec));
       }
       job->cancel_requested.store(true, std::memory_order_relaxed);
     }
@@ -122,6 +138,7 @@ const TuningServer::Job& TuningServer::job_ref(JobId id) const {
 }
 
 bool TuningServer::cancel(JobId id) {
+  Releasable released;  // destroyed after mutex_ is released
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
@@ -131,6 +148,7 @@ bool TuningServer::cancel(JobId id) {
       job.state = JobState::kCancelled;
       job.snapshot.state = JobState::kCancelled;
       job.cancel_requested.store(true, std::memory_order_relaxed);
+      released = take_releasable(job.spec);
       ++jobs_cancelled_;
       for (auto p = pending_.begin(); p != pending_.end(); ++p) {
         if (*p == id) {
@@ -218,6 +236,10 @@ void TuningServer::scheduler_loop() {
 }
 
 void TuningServer::run_job(Job& job) {
+  tuner::TuningResult result;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  std::optional<std::string> error;
   try {
     ServiceObjective objective(
         *job.spec.objective,
@@ -248,7 +270,6 @@ void TuningServer::run_job(Job& job) {
       return user_stopper && user_stopper(generation, so_far);
     };
 
-    tuner::TuningResult result;
     if (job.spec.backend == "ga") {
       // Historical path: the GA drives itself (bit-identical to every
       // pre-backend release).
@@ -270,29 +291,37 @@ void TuningServer::run_job(Job& job) {
       drive_options.stopper = beacon;
       result = tuners::drive(*backend, objective, drive_options).tuning;
     }
-    const bool cancelled =
-        job.cancel_requested.load(std::memory_order_relaxed);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    job.result = std::move(result);
-    job.state = cancelled ? JobState::kCancelled : JobState::kDone;
-    job.snapshot.state = job.state;
-    job.snapshot.cache_hits = objective.cache_hits();
-    job.snapshot.cache_misses = objective.cache_misses();
-    if (cancelled) {
-      ++jobs_cancelled_;
-      ServerMetrics::get().cancelled.add(1);
-    } else {
-      ++jobs_completed_;
-      ServerMetrics::get().completed.add(1);
-    }
+    cache_hits = objective.cache_hits();
+    cache_misses = objective.cache_misses();
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
+    error = e.what();
+  }
+  // Only this thread touches a running job's objective and stopper, so
+  // they are destroyed here, outside mutex_ and before the terminal state
+  // is published: a waiter that returns never sees them alive.
+  take_releasable(job.spec);
+  const bool cancelled = job.cancel_requested.load(std::memory_order_relaxed);
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (error.has_value()) {
     job.state = JobState::kFailed;
     job.snapshot.state = JobState::kFailed;
-    job.snapshot.error = e.what();
+    job.snapshot.error = std::move(*error);
     ++jobs_failed_;
     ServerMetrics::get().failed.add(1);
+    return;
+  }
+  job.result = std::move(result);
+  job.state = cancelled ? JobState::kCancelled : JobState::kDone;
+  job.snapshot.state = job.state;
+  job.snapshot.cache_hits = cache_hits;
+  job.snapshot.cache_misses = cache_misses;
+  if (cancelled) {
+    ++jobs_cancelled_;
+    ServerMetrics::get().cancelled.add(1);
+  } else {
+    ++jobs_completed_;
+    ServerMetrics::get().completed.add(1);
   }
 }
 

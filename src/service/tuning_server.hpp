@@ -48,8 +48,11 @@ std::string job_state_name(JobState state);
 
 struct JobSpec {
   std::string name;
-  /// The real evaluator. Must outlive the job (shared ownership); should
-  /// be `concurrent_safe` for the engine to help.
+  /// The real evaluator; should be `concurrent_safe` for the engine to
+  /// help. The server shares ownership only until the job ends: on every
+  /// terminal path (done, cancelled, failed, server shutdown) it drops its
+  /// reference to the objective and to `stopper`, so a finished job holds
+  /// only its name, snapshot and result.
   std::shared_ptr<tuner::Objective> objective;
   /// Cache namespace (workload + testbed identity). 0 derives one from
   /// `name`, which keeps distinct-named jobs from cross-hitting.

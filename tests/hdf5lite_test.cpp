@@ -2,7 +2,13 @@
 // dataset layouts, sieve buffering, property effects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "hdf5lite/chunk_cache.hpp"
 #include "hdf5lite/file.hpp"
 #include "hdf5lite/metadata.hpp"
@@ -33,8 +39,8 @@ TEST(ChunkCache, LruEvictionOrder) {
   // Touch chunk 0 again so chunk 1 is LRU.
   cache.touch_write({0, 0}, 1 * MiB, true);
   auto outcome = cache.touch_write({0, 2}, 1 * MiB, false);
-  ASSERT_EQ(outcome.evicted_dirty.size(), 1u);
-  EXPECT_EQ(outcome.evicted_dirty[0].chunk, 1u);  // LRU victim
+  ASSERT_TRUE(outcome.evicted_dirty.has_value());
+  EXPECT_EQ(outcome.evicted_dirty->chunk, 1u);  // LRU victim
   EXPECT_TRUE(cache.resident({0, 0}));
   EXPECT_FALSE(cache.resident({0, 1}));
 }
@@ -92,6 +98,194 @@ TEST(ChunkCache, PerRankKeysAreDistinct) {
   cache.touch_write({0, 7}, 1 * MiB, false);
   auto other_rank = cache.touch_write({1, 7}, 1 * MiB, false);
   EXPECT_FALSE(other_rank.hit);  // same chunk index, different rank
+}
+
+/// The std::list + std::unordered_map LRU that ChunkCache replaced, kept
+/// as the differential oracle for the flat implementation.
+class ReferenceChunkCache {
+ public:
+  struct Outcome {
+    bool hit = false;
+    bool bypass = false;
+    bool needs_preread = false;
+    std::vector<ChunkKey> evicted_dirty;
+  };
+
+  ReferenceChunkCache(ChunkCacheProps props, Bytes chunk_bytes)
+      : chunk_bytes_(chunk_bytes),
+        max_resident_(std::min<std::size_t>(
+            static_cast<std::size_t>(props.rdcc_nbytes / chunk_bytes),
+            props.rdcc_nslots)) {}
+
+  Outcome touch_write(const ChunkKey& key, Bytes covered, bool allocated) {
+    Outcome outcome;
+    if (max_resident_ == 0) {
+      ++stats_.bypasses;
+      outcome.bypass = true;
+      outcome.needs_preread = allocated && covered < chunk_bytes_;
+      return outcome;
+    }
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      ++stats_.hits;
+      outcome.hit = true;
+      it->second.dirty = true;
+      lru_.erase(it->second.lru_pos);
+      lru_.push_front(key);
+      it->second.lru_pos = lru_.begin();
+      return outcome;
+    }
+    ++stats_.misses;
+    outcome.needs_preread = allocated && covered < chunk_bytes_;
+    insert(key, true, outcome);
+    return outcome;
+  }
+
+  Outcome touch_read(const ChunkKey& key) {
+    Outcome outcome;
+    if (max_resident_ == 0) {
+      ++stats_.bypasses;
+      outcome.bypass = true;
+      return outcome;
+    }
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      ++stats_.hits;
+      outcome.hit = true;
+      lru_.erase(it->second.lru_pos);
+      lru_.push_front(key);
+      it->second.lru_pos = lru_.begin();
+      return outcome;
+    }
+    ++stats_.misses;
+    insert(key, false, outcome);
+    return outcome;
+  }
+
+  std::vector<ChunkKey> flush_dirty() {
+    std::vector<ChunkKey> dirty;
+    for (auto& [key, entry] : entries_) {
+      if (entry.dirty) {
+        dirty.push_back(key);
+        entry.dirty = false;
+      }
+    }
+    std::sort(dirty.begin(), dirty.end(),
+              [](const ChunkKey& a, const ChunkKey& b) {
+                return a.rank != b.rank ? a.rank < b.rank : a.chunk < b.chunk;
+              });
+    return dirty;
+  }
+
+  bool resident(const ChunkKey& key) const { return entries_.count(key) > 0; }
+  std::size_t resident_chunks() const { return entries_.size(); }
+  const ChunkCacheStats& stats() const { return stats_; }
+
+ private:
+  struct KeyHash {
+    std::size_t operator()(const ChunkKey& k) const {
+      return std::hash<std::uint64_t>()(
+          (static_cast<std::uint64_t>(k.rank) << 40) ^ k.chunk);
+    }
+  };
+  struct Entry {
+    std::list<ChunkKey>::iterator lru_pos;
+    bool dirty = false;
+  };
+
+  void insert(const ChunkKey& key, bool dirty, Outcome& outcome) {
+    while (entries_.size() >= max_resident_ && !entries_.empty()) {
+      const ChunkKey victim = lru_.back();
+      lru_.pop_back();
+      auto it = entries_.find(victim);
+      ++stats_.evictions;
+      if (it->second.dirty) {
+        ++stats_.dirty_evictions;
+        outcome.evicted_dirty.push_back(victim);
+      }
+      entries_.erase(it);
+    }
+    lru_.push_front(key);
+    entries_[key] = Entry{lru_.begin(), dirty};
+  }
+
+  Bytes chunk_bytes_;
+  std::size_t max_resident_;
+  std::list<ChunkKey> lru_;
+  std::unordered_map<ChunkKey, Entry, KeyHash> entries_;
+  ChunkCacheStats stats_;
+};
+
+void expect_same_stats(const ChunkCacheStats& a, const ChunkCacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.bypasses, b.bypasses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
+}
+
+TEST(ChunkCache, MatchesListAndHashMapReference) {
+  struct Shape {
+    Bytes nbytes;
+    unsigned nslots;
+    unsigned ranks;       ///< keys collide across ranks on equal chunks
+    std::uint64_t chunks; ///< chunk indices drawn from [0, chunks)
+  };
+  const Shape shapes[] = {
+      {0, 521, 4, 8},          // capacity 0: every touch bypasses
+      {1 * MiB, 521, 4, 8},    // capacity 1
+      {2 * MiB, 521, 3, 6},    // capacity 2
+      {7 * MiB, 521, 4, 16},   // capacity 7
+      {7 * MiB, 521, 64, 2},   // capacity 7, mostly cross-rank keys
+      {1 * GiB, 5, 4, 16},     // nslots caps residency at 5
+      {1 * GiB, 521, 8, 256},  // default nslots cap: index growth
+  };
+  Rng rng(0xCAC4E);
+  for (const Shape& shape : shapes) {
+    ChunkCacheProps props;
+    props.rdcc_nbytes = shape.nbytes;
+    props.rdcc_nslots = shape.nslots;
+    ChunkCache cache(props, 1 * MiB);
+    ReferenceChunkCache reference(props, 1 * MiB);
+    for (int step = 0; step < 20000; ++step) {
+      const ChunkKey key{static_cast<unsigned>(rng.index(shape.ranks)),
+                         rng.index(shape.chunks)};
+      const double action = rng.uniform();
+      if (action < 0.01) {
+        ASSERT_EQ(cache.flush_dirty(), reference.flush_dirty());
+        continue;
+      }
+      CacheOutcome got;
+      ReferenceChunkCache::Outcome want;
+      if (action < 0.6) {
+        const Bytes covered =
+            rng.chance(0.5) ? 1 * MiB : static_cast<Bytes>(rng.index(MiB));
+        const bool allocated = rng.chance(0.5);
+        got = cache.touch_write(key, covered, allocated);
+        want = reference.touch_write(key, covered, allocated);
+      } else {
+        got = cache.touch_read(key);
+        want = reference.touch_read(key);
+      }
+      ASSERT_EQ(got.hit, want.hit);
+      ASSERT_EQ(got.bypass, want.bypass);
+      ASSERT_EQ(got.needs_preread, want.needs_preread);
+      ASSERT_LE(want.evicted_dirty.size(), 1u);
+      ASSERT_EQ(got.evicted_dirty.has_value(), !want.evicted_dirty.empty());
+      if (got.evicted_dirty) {
+        ASSERT_EQ(*got.evicted_dirty, want.evicted_dirty.front());
+      }
+      ASSERT_EQ(cache.resident_chunks(), reference.resident_chunks());
+    }
+    for (unsigned rank = 0; rank < shape.ranks; ++rank) {
+      for (std::uint64_t chunk = 0; chunk < shape.chunks; ++chunk) {
+        EXPECT_EQ(cache.resident({rank, chunk}),
+                  reference.resident({rank, chunk}));
+      }
+    }
+    expect_same_stats(cache.stats(), reference.stats());
+    EXPECT_EQ(cache.flush_dirty(), reference.flush_dirty());
+  }
 }
 
 // --- MetadataManager ------------------------------------------------------
@@ -245,6 +439,24 @@ TEST(H5Dataset, ChunkedWritesThroughCache) {
   ds.flush();
   const Bytes after = s.fs.counters().bytes_written - raw_before;
   EXPECT_GE(after, (1u << 20) * 4u);
+}
+
+TEST(H5Dataset, ChunkIndexGrowsWithAllocatedChunksNotExtent) {
+  // 2^40 one-element chunks: an index sized by the declared extent would
+  // need terabytes; only the touched chunk may cost memory.
+  Stack s;
+  File file(s.mpi, s.fs, "/f.h5", FileAccessProps{}, mpiio::Hints{});
+  DatasetCreateProps dcpl;
+  dcpl.chunk_elements = 1;
+  const std::uint64_t elements = std::uint64_t{1} << 40;
+  Dataset& ds = file.create_dataset("huge", 8, elements, dcpl, ChunkCacheProps{});
+  const Bytes raw_before = s.fs.counters().bytes_written;
+  std::vector<Selection> last{{0, elements - 1, 1}};
+  ds.write(last, TransferProps{});
+  ds.flush();
+  EXPECT_EQ(ds.stats().bytes_written, 8u);
+  EXPECT_EQ(ds.cache_stats()->misses, 1u);
+  EXPECT_GE(s.fs.counters().bytes_written - raw_before, 8u);
 }
 
 TEST(H5Dataset, TinyCacheCausesEvictionTraffic) {

@@ -2,6 +2,10 @@
 // behaviour, contention, tiers, and counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -324,6 +328,107 @@ TEST(StripeLayout, VisitorMatchesSplit) {
     EXPECT_EQ(visited[i].file_offset, pieces[i].file_offset);
     EXPECT_EQ(visited[i].length, pieces[i].length);
   }
+}
+
+/// The division-based stripe walk for_each_extent replaced: every piece
+/// divides its own file offset to find its OST and object offset, and
+/// adjacent pieces on one OST object are coalesced. Kept as the oracle.
+std::vector<StripeExtent> reference_extents(const StripeLayout& layout,
+                                            unsigned total_osts, Bytes offset,
+                                            Bytes length) {
+  const Bytes stripe_size = layout.stripe_size();
+  const unsigned stripe_count = layout.stripe_count();
+  auto ost_for = [&](Bytes at) {
+    const Bytes stripe_index = at / stripe_size;
+    const auto within = static_cast<unsigned>(stripe_index % stripe_count);
+    return (layout.ost_offset() + within) % total_osts;
+  };
+  auto object_offset_for = [&](Bytes at) {
+    const Bytes stripe_index = at / stripe_size;
+    const Bytes round = stripe_index / stripe_count;
+    return round * stripe_size + at % stripe_size;
+  };
+  std::vector<StripeExtent> out;
+  Bytes cursor = offset;
+  Bytes remaining = length;
+  StripeExtent pending;
+  bool have_pending = false;
+  while (remaining > 0) {
+    const Bytes within_stripe = cursor % stripe_size;
+    const Bytes piece_len = std::min(remaining, stripe_size - within_stripe);
+    StripeExtent piece{ost_for(cursor), object_offset_for(cursor), cursor,
+                       piece_len};
+    if (have_pending && pending.ost == piece.ost &&
+        pending.object_offset + pending.length == piece.object_offset) {
+      pending.length += piece_len;
+    } else {
+      if (have_pending) out.push_back(pending);
+      pending = piece;
+      have_pending = true;
+    }
+    cursor += piece_len;
+    remaining -= piece_len;
+  }
+  if (have_pending) out.push_back(pending);
+  return out;
+}
+
+TEST(StripeLayout, IncrementalWalkMatchesDivisionOracle) {
+  Rng rng(0x57121BE);
+  const Bytes sizes[] = {1, 3, 4 * KiB, 64 * KiB + 1, 1 * MiB, 4 * MiB};
+  unsigned cases = 0;
+  for (int layout_case = 0; layout_case < 400; ++layout_case) {
+    const Bytes stripe_size =
+        layout_case % 3 == 0
+            ? static_cast<Bytes>(rng.uniform_int(1, 2 * MiB))
+            : sizes[rng.index(std::size(sizes))];
+    const auto total_osts = static_cast<unsigned>(rng.uniform_int(1, 64));
+    // A third each: one stripe, every OST, anything in between (or
+    // beyond the pool, which the layout clamps).
+    unsigned stripe_count = 1;
+    if (layout_case % 3 == 1) stripe_count = total_osts;
+    if (layout_case % 3 == 2) {
+      stripe_count = static_cast<unsigned>(rng.uniform_int(1, 80));
+    }
+    const auto ost_offset =
+        static_cast<unsigned>(rng.uniform_int(0, 3 * total_osts));
+    const StripeLayout layout(stripe_size, stripe_count, ost_offset,
+                              total_osts);
+    const Bytes round_bytes = stripe_size * layout.stripe_count();
+    for (int request = 0; request < 30; ++request, ++cases) {
+      const Bytes offset =
+          static_cast<Bytes>(rng.uniform_int(0, 50 * round_bytes));
+      Bytes length = 0;
+      switch (request % 5) {
+        case 0: length = 0; break;
+        case 1: length = 1; break;
+        case 2:
+          length = static_cast<Bytes>(rng.uniform_int(1, 2 * stripe_size));
+          break;
+        default:  // several rounds, unaligned at both ends
+          length = static_cast<Bytes>(rng.uniform_int(2, 5)) * round_bytes +
+                   static_cast<Bytes>(rng.uniform_int(0, round_bytes));
+          break;
+      }
+      std::vector<StripeExtent> visited;
+      layout.for_each_extent(offset, length, [&](const StripeExtent& piece) {
+        visited.push_back(piece);
+      });
+      const std::vector<StripeExtent> expected =
+          reference_extents(layout, total_osts, offset, length);
+      ASSERT_EQ(visited.size(), expected.size())
+          << "stripe " << stripe_size << " x" << layout.stripe_count()
+          << " of " << total_osts << " from " << ost_offset << ", extent "
+          << offset << "+" << length;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(visited[i].ost, expected[i].ost);
+        ASSERT_EQ(visited[i].object_offset, expected[i].object_offset);
+        ASSERT_EQ(visited[i].file_offset, expected[i].file_offset);
+        ASSERT_EQ(visited[i].length, expected[i].length);
+      }
+    }
+  }
+  EXPECT_GE(cases, 10000u);
 }
 
 TEST(PfsSimulator, HandleApiMatchesPathApi) {

@@ -472,5 +472,82 @@ TEST(TuningServer, FailedJobReportsError) {
   EXPECT_EQ(server.stats().jobs_failed, 1u);
 }
 
+TEST(TuningServer, TerminalJobsReleaseTheirObjective) {
+  class ThrowingObjective final : public tuner::Objective {
+   public:
+    std::string name() const override { return "throws"; }
+    Evaluation evaluate(const cfg::Configuration&) override {
+      throw Error("testbed exploded");
+    }
+    std::uint64_t evaluations() const override { return 0; }
+  };
+
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  ServerOptions options;
+  options.max_concurrent_jobs = 1;
+  TuningServer server(space, options);
+  auto make_spec = [](std::string name,
+                      std::shared_ptr<tuner::Objective> objective,
+                      unsigned generations) {
+    JobSpec spec;
+    spec.name = std::move(name);
+    spec.objective = std::move(objective);
+    spec.ga.population = 8;
+    spec.ga.max_generations = generations;
+    spec.stopper = [](unsigned, const TuningResult&) { return false; };
+    return spec;
+  };
+
+  // Done.
+  std::weak_ptr<tuner::Objective> done_objective;
+  JobId done_id = 0;
+  {
+    auto objective = std::make_shared<SyntheticObjective>();
+    done_objective = objective;
+    done_id = server.submit(make_spec("done", std::move(objective), 3));
+  }
+  const TuningResult done = server.wait(done_id);
+  EXPECT_TRUE(done_objective.expired());
+  EXPECT_EQ(done.generations_run, 3u);
+  EXPECT_EQ(server.progress(done_id).state, JobState::kDone);
+  EXPECT_EQ(server.progress(done_id).generations_done, 3u);
+  EXPECT_EQ(server.wait(done_id).best_perf, done.best_perf);
+
+  // Cancelled while queued behind a slow job.
+  std::weak_ptr<tuner::Objective> queued_objective;
+  const JobId blocker = server.submit(make_spec(
+      "blocker",
+      std::make_shared<SyntheticObjective>(std::chrono::microseconds(1000)),
+      200));
+  JobId queued_id = 0;
+  {
+    auto objective = std::make_shared<SyntheticObjective>();
+    queued_objective = objective;
+    queued_id = server.submit(make_spec("queued", std::move(objective), 3));
+  }
+  EXPECT_TRUE(server.cancel(queued_id));
+  const TuningResult queued = server.wait(queued_id);
+  EXPECT_TRUE(queued_objective.expired());
+  EXPECT_EQ(queued.generations_run, 0u);
+  EXPECT_EQ(server.progress(queued_id).state, JobState::kCancelled);
+  EXPECT_TRUE(server.cancel(blocker));
+  server.wait(blocker);
+
+  // Failed.
+  std::weak_ptr<tuner::Objective> failed_objective;
+  JobId failed_id = 0;
+  {
+    auto objective = std::make_shared<ThrowingObjective>();
+    failed_objective = objective;
+    failed_id = server.submit(make_spec("failed", std::move(objective), 2));
+  }
+  EXPECT_THROW(server.wait(failed_id), Error);
+  EXPECT_TRUE(failed_objective.expired());
+  const JobProgress failed = server.progress(failed_id);
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_NE(failed.error.find("testbed exploded"), std::string::npos);
+  EXPECT_THROW(server.wait(failed_id), Error);
+}
+
 }  // namespace
 }  // namespace tunio::service
