@@ -21,7 +21,8 @@ if(NOT TUNIO_GIT_SHA)
 endif()
 
 add_library(tunio_bench_common STATIC ${CMAKE_SOURCE_DIR}/bench/common.cpp)
-target_link_libraries(tunio_bench_common PUBLIC ${TUNIO_BENCH_LIBS} tunio_tuners)
+target_link_libraries(tunio_bench_common PUBLIC ${TUNIO_BENCH_LIBS} tunio_tuners
+  tunio_oracle)
 target_include_directories(tunio_bench_common PUBLIC ${CMAKE_SOURCE_DIR}/bench)
 target_compile_definitions(tunio_bench_common PRIVATE
   TUNIO_GIT_SHA="${TUNIO_GIT_SHA}")

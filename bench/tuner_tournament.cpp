@@ -2,7 +2,7 @@
 // the five evaluation workloads under the same simulated tuning budget.
 //
 // Not a figure of the paper — this is the harness that keeps the
-// pluggable-backend claim honest: the GA adapter must reproduce the
+// pluggable-backend claim honest: the GA backend must reproduce the
 // genetic pipeline, and the knowledge-driven backends (BO, rule) must
 // beat random search on best-bandwidth-per-evaluation, else the extra
 // machinery is dead weight. Per (workload, backend) the report records
@@ -41,7 +41,7 @@ struct Outcome {
   std::uint64_t evals = 0;
   double bw_per_eval = 0.0;
   std::uint64_t evals_to_95 = 0;  ///< 0 = never reached 95% of wl best
-  tuners::DriveResult detail;
+  tuner::DriveResult detail;
 };
 
 /// Equal simulated budget per (workload, backend), denominated in
@@ -116,14 +116,14 @@ int main(int argc, char** argv) {
       // evaluates to the same bandwidth for every backend, but replay
       // state and counters start clean (fair attribution).
       const std::unique_ptr<tuner::Objective> objective = entry.objective();
-      const std::unique_ptr<tuners::Tuner> tuner =
+      const std::unique_ptr<tuner::Tuner> tuner =
           tuners::make_tuner(backend_name, space, *objective, spec);
-      tuners::DriveOptions drive_options;
+      tuner::DriveOptions drive_options;
       drive_options.budget_seconds = budget_seconds;
 
       Outcome outcome;
       outcome.backend = backend_name;
-      outcome.detail = tuners::drive(*tuner, *objective, drive_options);
+      outcome.detail = tuner::drive(*tuner, *objective, drive_options);
       const tuner::TuningResult& result = outcome.detail.tuning;
       outcome.completed =
           result.best_config.has_value() && result.best_perf > 0.0;

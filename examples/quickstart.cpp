@@ -69,9 +69,12 @@ int main() {
   // 4. Tune: genetic pipeline + Smart Configuration Generation + RL stop.
   tuner::GaOptions ga;
   ga.max_generations = 30;
-  tuner::GeneticTuner tuner(space, *objective, ga);
-  tunio.attach(tuner);
-  const tuner::TuningResult result = tuner.run();
+  const tuner::TuningResult result =
+      core::run_pipeline(space, *objective, &tunio,
+                         {"TunIO", /*impact_first=*/true,
+                          core::StopPolicy::kTunio},
+                         ga)
+          .result;
 
   std::printf("tuning finished after %u generations (%.1f simulated "
               "minutes)%s\n",

@@ -1,7 +1,7 @@
-// Backward program slicer from I/O call sites — the precise marking
-// engine behind Application I/O Discovery (§III-B).
+// Backward program slicer from I/O call sites — the marking engine
+// behind Application I/O Discovery (§III-B).
 //
-// Where the legacy name-based marker keeps *every* statement defining a
+// Where a name-based marker (kept as a test oracle) keeps *every* statement defining a
 // variable whose name is a dependent anywhere in the function, the slicer
 // follows actual def-use chains on the control-flow graph: a definition
 // is kept only when it may *reach* a kept use. The result is always a
@@ -44,8 +44,9 @@ struct SliceResult {
 };
 
 /// Slices `program` backward from every I/O call site. Throws
-/// Error/SourceError when the program cannot be analyzed (discovery then
-/// falls back to the legacy marker).
+/// Error/SourceError when the program cannot be analyzed (no `main`, or
+/// a statement the CFG builder does not know); discovery then fails with
+/// the same error.
 SliceResult slice_io(const minic::Program& program,
                      const std::vector<std::string>& io_prefixes);
 

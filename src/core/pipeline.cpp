@@ -25,6 +25,24 @@ tuner::Stopper make_stopper(const PipelineVariant& variant, TunIO* tunio) {
   throw InvalidArgument("unknown stop policy");
 }
 
+/// Smart Configuration Generation as the GA's subset hook: generation 0
+/// scores the full space, later generations tune the subset the picker
+/// chooses from the last generation's best perf and subset.
+tuner::SubsetProvider impact_first_subsets(TunIO* tunio,
+                                           const cfg::ConfigSpace& space) {
+  tunio->smart_config().reset_episode();
+  return [tunio, &space](unsigned generation,
+                         const tuner::TuningResult& progress) {
+    if (generation == 0 || progress.history.empty()) {
+      std::vector<std::size_t> all(space.num_parameters());
+      for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+      return all;
+    }
+    const tuner::GenerationStats& last = progress.history.back();
+    return tunio->smart_config().subset_picker(last.best_perf, last.subset);
+  };
+}
+
 }  // namespace
 
 PipelineRun run_pipeline(const cfg::ConfigSpace& space,
@@ -42,54 +60,24 @@ PipelineRun run_pipeline(const cfg::ConfigSpace& space,
   TUNIO_CHECK_MSG(!needs_tunio || tunio != nullptr,
                   "variant '" + variant.label + "' needs a TunIO instance");
 
+  tuners::TunerSpec spec = tuners::spec_from_ga(ga);
+  spec.hints = variant.hints;
+  if (variant.impact_first) {
+    // The GA restricts its genes to the picked subsets; the rule backend
+    // sweeps parameters in impact order.
+    spec.subset_provider = impact_first_subsets(tunio, space);
+    spec.impact = tunio->smart_config().impact_scores();
+  }
+  const std::unique_ptr<tuner::Tuner> backend =
+      tuners::make_tuner(variant.backend, space, eval_objective, spec);
+
+  tuner::DriveOptions drive_options;
+  drive_options.stopper = make_stopper(variant, tunio);
+
   PipelineRun run;
   run.label = variant.label;
   run.backend = variant.backend;
-
-  if (variant.backend == "ga") {
-    // The historical pipeline: `GeneticTuner::run` drives itself. Kept
-    // as its own code path so existing variants stay bit-identical.
-    tuner::GeneticTuner tuner(space, eval_objective, ga);
-
-    if (variant.impact_first) {
-      tunio->smart_config().reset_episode();
-      tuner.set_subset_provider(
-          [tunio, &space](unsigned generation,
-                          const tuner::TuningResult& progress) {
-            if (generation == 0 || progress.history.empty()) {
-              std::vector<std::size_t> all(space.num_parameters());
-              for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-              return all;
-            }
-            const tuner::GenerationStats& last = progress.history.back();
-            return tunio->smart_config().subset_picker(last.best_perf,
-                                                       last.subset);
-          });
-    }
-
-    tuner.set_stopper(make_stopper(variant, tunio));
-    run.result = tuner.run();
-    return run;
-  }
-
-  // Alternative backends route through the registry and the shared
-  // driver; the stopper plugs into the driver instead of the GA.
-  tuners::TunerSpec spec;
-  spec.seed = ga.seed;
-  spec.batch = ga.population;
-  spec.max_iterations = ga.max_generations;
-  spec.seed_indices = ga.seed_indices;
-  spec.ga = ga;
-  spec.hints = variant.hints;
-  if (variant.impact_first && tunio != nullptr) {
-    spec.impact = tunio->smart_config().impact_scores();
-  }
-  const std::unique_ptr<tuners::Tuner> backend =
-      tuners::make_tuner(variant.backend, space, eval_objective, spec);
-
-  tuners::DriveOptions drive_options;
-  drive_options.stopper = make_stopper(variant, tunio);
-  run.result = tuners::drive(*backend, eval_objective, drive_options).tuning;
+  run.result = tuner::drive(*backend, eval_objective, drive_options).tuning;
   return run;
 }
 

@@ -1,6 +1,13 @@
 // Labeled tuning-pipeline variants — the configurations compared in the
 // paper's evaluation (HSTuner with/without stopping, with/without the
 // I/O kernel, and full TunIO).
+//
+// `run_pipeline` is the one place TunIO's agents are wired into a
+// search: it builds the variant's backend with `tuners::make_tuner`,
+// hands it Smart Configuration Generation as the subset hook and the
+// variant's stop policy as the driver's stopper, and runs it with
+// `tuner::drive`. Interactive sessions and benches call it rather than
+// wiring the agents themselves.
 #pragma once
 
 #include <string>
@@ -11,6 +18,7 @@
 #include "service/service_objective.hpp"
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/stoppers.hpp"
+#include "tuner/tuner.hpp"
 
 namespace tunio::core {
 
@@ -36,9 +44,8 @@ struct PipelineVariant {
   bool impact_first = false;   ///< attach Smart Configuration Generation
   StopPolicy stop = StopPolicy::kNone;
   double max_perf_target = 0.0;  ///< for kMaxPerf
-  /// Search backend (see tuners::backend_names). "ga" is the historical
-  /// genetic pipeline and keeps its exact code path; other names are
-  /// routed through the tuners registry and driver. Impact-first subset
+  /// Search backend (see tuners::backend_names); every backend runs
+  /// through the registry and `tuner::drive`. Impact-first subset
   /// selection is a GA hook; for the "rule" backend the impact scores
   /// are fed in as sweep priorities instead.
   std::string backend = "ga";

@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "config/xml.hpp"
+#include "core/pipeline.hpp"
 
 namespace tunio::core {
 
@@ -25,14 +26,12 @@ tuner::TuningResult InteractiveSession::step(unsigned generations) {
   if (steps_ > 0) {
     ga.seed_indices = best_config_.indices();
   }
-  service::ServiceObjective service_objective(objective_, binding_);
-  tuner::Objective& eval_objective =
-      binding_.enabled() ? static_cast<tuner::Objective&>(service_objective)
-                         : objective_;
-  tuner::GeneticTuner tuner(tunio_.space(), eval_objective, ga);
-  tunio_.attach(tuner);
-
-  const tuner::TuningResult result = tuner.run();
+  const tuner::TuningResult result =
+      run_pipeline(tunio_.space(), objective_, &tunio_,
+                   PipelineVariant("session", /*impact_first=*/true,
+                                   StopPolicy::kTunio),
+                   ga, binding_)
+          .result;
   if (!have_initial_) {
     initial_perf_ = result.initial_perf;
     have_initial_ = true;

@@ -4,7 +4,8 @@
 //
 // A session wraps a TunIO instance and an objective and lets the user
 // spend their tuning budget in installments: each `step(n)` runs n more
-// generations of the genetic pipeline *seeded with the best
+// generations of the full TunIO pipeline (`run_pipeline` with
+// impact-first subsets and the RL stopper) *seeded with the best
 // configuration found so far*, so knowledge accumulates across steps —
 // and across the TunIO agents, which keep their online learning state
 // between installments. Between steps, the user can inspect or export

@@ -32,25 +32,4 @@ void TunIO::train_offline(
   early_stopping_.train_offline();
 }
 
-void TunIO::attach(tuner::GeneticTuner& tuner) {
-  smart_config_.reset_episode();
-  early_stopping_.reset_episode();
-  tuner.set_subset_provider(
-      [this](unsigned generation, const tuner::TuningResult& progress) {
-        // First generation: no feedback yet — tune everything once so the
-        // default/random population is scored on the full space.
-        if (generation == 0 || progress.history.empty()) {
-          std::vector<std::size_t> all(space_.num_parameters());
-          for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-          return all;
-        }
-        const tuner::GenerationStats& last = progress.history.back();
-        return smart_config_.subset_picker(last.best_perf, last.subset);
-      });
-  tuner.set_stopper(
-      [this](unsigned generation, const tuner::TuningResult& progress) {
-        return early_stopping_.stop(generation, progress.best_perf);
-      });
-}
-
 }  // namespace tunio::core

@@ -8,9 +8,9 @@
 //
 // "TunIO separates its components and provides an interface so that they
 // can be used by other tuning pipelines" (§III-E). The `TunIO` class
-// bundles the three components behind exactly that interface and also
-// offers `attach`, which wires them into a GeneticTuner the way the
-// paper's reference implementation plugs into DEAP/HSTuner.
+// bundles the three components behind exactly that interface;
+// `core::run_pipeline` (pipeline.hpp) wires them into a search the way
+// the paper's reference implementation plugs into DEAP/HSTuner.
 #pragma once
 
 #include <memory>
@@ -20,7 +20,7 @@
 #include "core/early_stopping.hpp"
 #include "core/smart_config.hpp"
 #include "discovery/discovery.hpp"
-#include "tuner/genetic_tuner.hpp"
+#include "tuner/objective.hpp"
 
 namespace tunio::core {
 
@@ -67,10 +67,6 @@ class TunIO {
   /// Offline training of both RL components. `sweep_kernels` are the
   /// representative I/O kernels (VPIC, FLASH, HACC in the paper).
   void train_offline(const std::vector<tuner::Objective*>& sweep_kernels);
-
-  /// Wires Smart Configuration Generation and Early Stopping into a
-  /// genetic tuner (resets per-run agent state first).
-  void attach(tuner::GeneticTuner& tuner);
 
   SmartConfigGen& smart_config() { return smart_config_; }
   EarlyStopping& early_stopping() { return early_stopping_; }

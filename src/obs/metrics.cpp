@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/units.hpp"
 
 namespace tunio::obs {
 
@@ -191,8 +190,11 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 std::vector<double> darshan_size_bounds() {
-  return {static_cast<double>(4 * KiB) - 1, static_cast<double>(64 * KiB) - 1,
-          static_cast<double>(1 * MiB) - 1, static_cast<double>(16 * MiB) - 1};
+  std::vector<double> bounds;
+  for (Bytes limit : kDarshanSizeLimits) {
+    bounds.push_back(static_cast<double>(limit - 1));
+  }
+  return bounds;
 }
 
 }  // namespace tunio::obs

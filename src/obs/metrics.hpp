@@ -25,6 +25,7 @@
 // observed ("which objective produced the best perf"), Prometheus-style.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/units.hpp"
 #include "obs/json.hpp"
 
 namespace tunio::obs {
@@ -165,8 +167,18 @@ class MetricsRegistry {
   std::vector<Entry<Histogram>> histograms_;
 };
 
-/// Darshan's condensed POSIX_SIZE buckets (<4K, 64K, 1M, 16M, overflow)
-/// — the bounds the PFS size histograms publish with.
+/// Darshan's condensed POSIX_SIZE buckets: an access of `size` bytes
+/// lands in the first bucket whose limit exceeds it (<4K, 4K-64K,
+/// 64K-1M, 1M-16M) or in the overflow bucket (>=16M). The PFS size
+/// histograms bucket with these limits and publish into registry
+/// histograms built on `darshan_size_bounds()`.
+inline constexpr std::array<Bytes, 4> kDarshanSizeLimits = {
+    4 * KiB, 64 * KiB, 1 * MiB, 16 * MiB};
+inline constexpr std::size_t kDarshanSizeBuckets =
+    kDarshanSizeLimits.size() + 1;
+
+/// The same buckets as registry-histogram upper bounds (bounds are
+/// inclusive, so each is its limit minus one byte).
 std::vector<double> darshan_size_bounds();
 
 }  // namespace tunio::obs

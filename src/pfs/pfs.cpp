@@ -49,12 +49,10 @@ struct PfsMetrics {
 }  // namespace
 
 void SizeHistogram::record(Bytes size) {
-  std::size_t bucket;
-  if (size < 4 * KiB) bucket = 0;
-  else if (size < 64 * KiB) bucket = 1;
-  else if (size < 1 * MiB) bucket = 2;
-  else if (size < 16 * MiB) bucket = 3;
-  else bucket = 4;
+  // The limits ascend, so the bucket is the number of limits at or below
+  // `size`.
+  std::size_t bucket = 0;
+  for (Bytes limit : obs::kDarshanSizeLimits) bucket += size >= limit;
   ++counts[bucket];
   max = std::max(max, size);
 }

@@ -36,6 +36,7 @@
 
 #include "common/timeline.hpp"
 #include "common/units.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/layout.hpp"
 
 namespace tunio::pfs {
@@ -87,10 +88,11 @@ struct PfsProfile {
   unsigned default_stripe_count = 1;     ///< Lustre default striping_factor
 };
 
-/// Access-size histogram (Darshan's POSIX_SIZE_*_ buckets, condensed).
-/// Buckets: <4 KiB, 4–64 KiB, 64 KiB–1 MiB, 1–16 MiB, ≥16 MiB.
+/// Access-size histogram over Darshan's condensed POSIX_SIZE_* buckets
+/// (`obs::kDarshanSizeLimits`): <4 KiB, 4–64 KiB, 64 KiB–1 MiB,
+/// 1–16 MiB, ≥16 MiB.
 struct SizeHistogram {
-  static constexpr std::size_t kBuckets = 5;
+  static constexpr std::size_t kBuckets = obs::kDarshanSizeBuckets;
   std::array<std::uint64_t, kBuckets> counts{};
   /// Largest access recorded. A running maximum: a difference of two
   /// snapshots keeps the later one's.

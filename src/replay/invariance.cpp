@@ -1,21 +1,13 @@
 #include "replay/invariance.hpp"
 
-#include <set>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "analysis/cost_model.hpp"
-#include "analysis/slicer.hpp"
 #include "obs/metrics.hpp"
 
 namespace tunio::replay {
 namespace {
-
-/// Builtins that emit trace ops: a tainted argument or tainted control
-/// at any of these call sites makes the op stream settings-dependent.
-const std::vector<std::string> kOpEmittingPrefixes = {
-    "h5", "fprintf_log", "compute", "mpi_barrier"};
 
 bool has_tuned_call(const minic::Expr& expr) {
   if (expr.kind == minic::ExprKind::kCall &&
@@ -28,49 +20,29 @@ bool has_tuned_call(const minic::Expr& expr) {
   return false;
 }
 
-/// Ids of statements whose own expressions (value or condition) read a
-/// tuned_* builtin. Header statements of a `for` (init/update) have their
-/// own ids and are visited as children.
-void collect_tuned_stmts(const minic::Stmt& stmt, std::set<int>& out) {
+/// True when a statement's own expressions (value or condition), or any
+/// statement nested in it, read a tuned_* builtin. Header statements of
+/// a `for` (init/update) are visited as children.
+bool reads_tuned(const minic::Stmt& stmt) {
   if ((stmt.value && has_tuned_call(*stmt.value)) ||
       (stmt.cond && has_tuned_call(*stmt.cond))) {
-    out.insert(stmt.id);
+    return true;
   }
-  if (stmt.init) collect_tuned_stmts(*stmt.init, out);
-  if (stmt.update) collect_tuned_stmts(*stmt.update, out);
-  if (stmt.body) collect_tuned_stmts(*stmt.body, out);
-  if (stmt.else_body) collect_tuned_stmts(*stmt.else_body, out);
+  for (const minic::StmtPtr* child :
+       {&stmt.init, &stmt.update, &stmt.body, &stmt.else_body}) {
+    if (*child && reads_tuned(**child)) return true;
+  }
   for (const minic::StmtPtr& child : stmt.statements) {
-    collect_tuned_stmts(*child, out);
+    if (reads_tuned(*child)) return true;
   }
+  return false;
 }
 
 bool any_tuned_read(const minic::Program& program) {
-  std::set<int> readers;
   for (const minic::Function& fn : program.functions) {
-    if (fn.body) collect_tuned_stmts(*fn.body, readers);
+    if (fn.body && reads_tuned(*fn.body)) return true;
   }
-  return !readers.empty();
-}
-
-/// The PR-4 verdict: a tuned_* reader survives the backward slice from
-/// the op-emitting call sites. Failure counts as dependent.
-bool slicer_dependent(const minic::Program& program) {
-  try {
-    std::set<int> tuned_readers;
-    for (const minic::Function& fn : program.functions) {
-      if (fn.body) collect_tuned_stmts(*fn.body, tuned_readers);
-    }
-    if (tuned_readers.empty()) return false;
-    const analysis::SliceResult slice =
-        analysis::slice_io(program, kOpEmittingPrefixes);
-    for (const int id : tuned_readers) {
-      if (slice.kept.count(id) > 0) return true;
-    }
-    return false;
-  } catch (...) {
-    return true;
-  }
+  return false;
 }
 
 void count(const char* metric) {
@@ -82,16 +54,14 @@ void count(const char* metric) {
 InvarianceReport analyze_invariance(const minic::Program& program) {
   InvarianceReport report;
 
-  // Fast path: no tuned_* read anywhere — trivially invariant, and both
-  // gates agree, so skip the solvers entirely.
+  // Fast path: no tuned_* read anywhere — trivially invariant, so skip
+  // the solver entirely.
   if (!any_tuned_read(program)) {
     report.dependent = false;
     report.reason = "no tuned_* reads";
     count("replay.gate.invariant");
     return report;
   }
-
-  report.slicer_dependent = slicer_dependent(program);
 
   const analysis::ProgramCost cost = analysis::predict_cost(program);
   if (!cost.analyzable) {
@@ -129,10 +99,6 @@ InvarianceReport analyze_invariance(const minic::Program& program) {
   }
 
   count(report.dependent ? "replay.gate.dependent" : "replay.gate.invariant");
-  if (!report.dependent && report.slicer_dependent) {
-    // Taint admitted a program the def-use slicer would have rejected.
-    count("replay.gate.recovered");
-  }
   return report;
 }
 

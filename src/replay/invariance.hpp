@@ -25,13 +25,13 @@
 //      the driver can surface the reason instead of silently falling
 //      back to full interpretation.
 //
-// This is strictly more precise than the PR-4 backward slice from op
-// sites, which kept any *statement* whose variables reach an op — e.g.
-// `int s = tuned_x(); s = 8; h5dwrite_all(d, s);` was dependent under
-// the slicer's scope-level rule but is provably invariant under taint
-// (the tuned value dies at the overwrite). The report carries the legacy
-// slicer verdict too, so the `replay.gate.recovered` counter can tally
-// programs the taint gate newly admits to the fast path.
+// This is strictly more precise than a backward slice from op sites,
+// which keeps any *statement* whose variables reach an op — e.g.
+// `int s = tuned_x(); s = 8; h5dwrite_all(d, s);` is dependent under
+// the slicer's scope-level rule but provably invariant under taint (the
+// tuned value dies at the overwrite). The tests and bench/static_analysis
+// keep that slicer verdict as an oracle and count the programs taint
+// recovers.
 #pragma once
 
 #include <string>
@@ -54,18 +54,12 @@ struct InvarianceReport {
   std::string reason;
   /// The verdict is the conservative fallback, not a proof.
   bool unanalyzable = false;
-  /// What the PR-4 def-use slicer would have said (dependent on slicer
-  /// failure too). dependent == false && slicer_dependent == true means
-  /// the taint gate recovered this program for the fast path.
-  bool slicer_dependent = false;
   /// Op-emitting call sites with tainted arguments or tainted control.
   int tainted_sites = 0;
 };
 
-/// Runs the taint gate (and the legacy slicer, for the recovery
-/// counter) and bumps the `replay.gate.*` metrics:
-/// invariant / dependent / unanalyzable, plus recovered when the taint
-/// verdict beats the slicer's. Never throws.
+/// Runs the taint gate and bumps the `replay.gate.*` metrics:
+/// invariant / dependent / unanalyzable. Never throws.
 InvarianceReport analyze_invariance(const minic::Program& program);
 
 /// True when `program`'s op stream may observe a `tuned_*` builtin and a

@@ -270,27 +270,14 @@ void TuningServer::run_job(Job& job) {
       return user_stopper && user_stopper(generation, so_far);
     };
 
-    if (job.spec.backend == "ga") {
-      // Historical path: the GA drives itself (bit-identical to every
-      // pre-backend release).
-      tuner::GeneticTuner tuner(space_, objective, job.spec.ga);
-      tuner.set_stopper(beacon);
-      result = tuner.run();
-    } else {
-      tuners::TunerSpec tuner_spec;
-      tuner_spec.seed = job.spec.ga.seed;
-      tuner_spec.batch = job.spec.ga.population;
-      tuner_spec.max_iterations = job.spec.ga.max_generations;
-      tuner_spec.seed_indices = job.spec.ga.seed_indices;
-      tuner_spec.ga = job.spec.ga;
-      tuner_spec.hints = job.spec.hints;
-      tuner_spec.impact = job.spec.impact;
-      const std::unique_ptr<tuners::Tuner> backend =
-          tuners::make_tuner(job.spec.backend, space_, objective, tuner_spec);
-      tuners::DriveOptions drive_options;
-      drive_options.stopper = beacon;
-      result = tuners::drive(*backend, objective, drive_options).tuning;
-    }
+    tuners::TunerSpec tuner_spec = tuners::spec_from_ga(job.spec.ga);
+    tuner_spec.hints = job.spec.hints;
+    tuner_spec.impact = job.spec.impact;
+    const std::unique_ptr<tuner::Tuner> backend =
+        tuners::make_tuner(job.spec.backend, space_, objective, tuner_spec);
+    tuner::DriveOptions drive_options;
+    drive_options.stopper = beacon;
+    result = tuner::drive(*backend, objective, drive_options).tuning;
     cache_hits = objective.cache_hits();
     cache_misses = objective.cache_misses();
   } catch (const std::exception& e) {

@@ -2,9 +2,9 @@
 // and result cache.
 //
 // A server owns one `EvalEngine` and one `ResultCache` and runs up to
-// `max_concurrent_jobs` genetic-tuning jobs at a time over them (queued
-// jobs start as slots free up). Clients `submit` a job — workload
-// objective, budget, GA options — then poll `progress`, `cancel`, or
+// `max_concurrent_jobs` tuning jobs at a time over them (queued jobs
+// start as slots free up). Clients `submit` a job — workload objective,
+// backend, GA options — then poll `progress`, `cancel`, or
 // block in `wait`. Cancellation is cooperative and takes effect at the
 // next generation boundary, so a cancelled job still carries a valid
 // partial `TuningResult`; resubmitting with
@@ -57,10 +57,10 @@ struct JobSpec {
   /// Cache namespace (workload + testbed identity). 0 derives one from
   /// `name`, which keeps distinct-named jobs from cross-hitting.
   std::uint64_t fingerprint = 0;
-  /// Search backend (see tuners::backend_names). "ga" runs the
-  /// historical genetic pipeline; other names route through the tuners
-  /// registry and driver. Progress beacons, cancellation, caching and
-  /// budget accounting work identically for every backend.
+  /// Search backend (see tuners::backend_names). Every backend is built
+  /// by the tuners registry and run by `tuner::drive`, so progress
+  /// beacons, cancellation, caching and budget accounting work
+  /// identically for all of them.
   std::string backend = "ga";
   tuner::GaOptions ga;
   /// Knowledge inputs for the "rule" backend (parameter name, weight)

@@ -1,9 +1,9 @@
-#include "tuners/tuner.hpp"
+#include "tuner/tuner.hpp"
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 
-namespace tunio::tuners {
+namespace tunio::tuner {
 
 namespace {
 
@@ -13,7 +13,7 @@ std::uint64_t counter_value(const char* name) {
 
 }  // namespace
 
-DriveResult drive(Tuner& tuner, tuner::Objective& objective,
+DriveResult drive(Tuner& tuner, Objective& objective,
                   const DriveOptions& options) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   obs::Counter& iterations =
@@ -33,14 +33,13 @@ DriveResult drive(Tuner& tuner, tuner::Objective& objective,
     proposals.add(batch.size());
     out.fresh_evaluations += batch.size();
     // Evaluated even when empty: a cache-satisfied GA generation still
-    // issues its (empty) batch, matching `GeneticTuner::run` exactly.
-    const std::vector<tuner::Evaluation> evals =
-        objective.evaluate_batch(batch);
+    // issues its (empty) batch, so the objective sees every iteration.
+    const std::vector<Evaluation> evals = objective.evaluate_batch(batch);
     tuner.observe(evals);
     iterations.add(1);
     out.evaluations.push_back(out.fresh_evaluations);
 
-    const tuner::TuningResult& progress = tuner.progress();
+    const TuningResult& progress = tuner.progress();
     TUNIO_CHECK_MSG(progress.generations_run == iteration + 1,
                     "backend '" + tuner.name() +
                         "' did not advance its iteration count");
@@ -67,10 +66,10 @@ DriveResult drive(Tuner& tuner, tuner::Objective& objective,
   out.result_cache_hits = counter_value("service.cache.hits") - cache_hits0;
   out.result_cache_misses =
       counter_value("service.cache.misses") - cache_misses0;
-  const tuner::ReplayGate gate = objective.replay_gate();
+  const ReplayGate gate = objective.replay_gate();
   out.replay_eligible = gate.eligible;
   out.replay_gate_reason = gate.reason;
   return out;
 }
 
-}  // namespace tunio::tuners
+}  // namespace tunio::tuner

@@ -8,12 +8,16 @@
 // from the population of an iteration/generation, and the best two are
 // carried forward as parents for the next generation." (§III-A)
 //
-// TunIO's components attach via two hooks:
+// `GeneticTuner` is the "ga" search strategy behind the `Tuner`
+// interface: one generation is one `propose`/`observe` round, and
+// `drive()` owns the loop, the budget and the stopper. TunIO's
+// components attach through two hooks:
 //   * SubsetProvider — Smart Configuration Generation: restricts the
 //     genes that crossover/mutation may touch in a generation; frozen
 //     genes keep the elite's values (impact-first search-space
 //     reduction);
-//   * Stopper — Early Stopping: consulted after every generation.
+//   * the driver's Stopper — Early Stopping: consulted after every
+//     generation.
 //
 // Running without hooks *is* the HSTuner baseline.
 #pragma once
@@ -21,11 +25,13 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "config/space.hpp"
 #include "tuner/objective.hpp"
+#include "tuner/tuner.hpp"
 
 namespace tunio::tuner {
 
@@ -50,75 +56,48 @@ struct GaOptions {
   std::optional<std::vector<std::size_t>> seed_indices;
 };
 
-/// Everything known after generation `generation` finished.
-struct GenerationStats {
-  unsigned generation = 0;
-  double generation_best_perf = 0.0;  ///< best individual this generation
-  double best_perf = 0.0;             ///< best seen so far (elitism)
-  double cumulative_seconds = 0.0;    ///< tuning budget spent so far
-  std::vector<std::size_t> subset;    ///< tuned parameter subset (empty=all)
-};
-
-struct TuningResult {
-  double initial_perf = 0.0;  ///< default configuration's perf
-  std::vector<GenerationStats> history;
-  std::optional<cfg::Configuration> best_config;
-  double best_perf = 0.0;
-  double total_seconds = 0.0;
-  unsigned generations_run = 0;
-  bool early_stopped = false;
-};
-
 /// Decides the parameter subset to tune in the coming generation.
 /// Receives the 0-based generation index and the progress so far.
 using SubsetProvider = std::function<std::vector<std::size_t>(
     unsigned generation, const TuningResult& progress)>;
 
-/// Returns true to terminate tuning after this generation.
-using Stopper =
-    std::function<bool(unsigned generation, const TuningResult& progress)>;
-
-class GeneticTuner {
+class GeneticTuner final : public Tuner {
  public:
+  /// `objective` is the one `run()` drives against; a caller running
+  /// `drive()` itself passes the objective there.
   GeneticTuner(const cfg::ConfigSpace& space, Objective& objective,
                GaOptions options = {});
 
   void set_subset_provider(SubsetProvider provider);
-  void set_stopper(Stopper stopper);
 
-  /// Runs the full tuning pipeline: drives the stepping API below until
-  /// the generation budget is exhausted or the stopper fires.
+  /// Runs the full genetic pipeline: `drive(*this, objective)` until the
+  /// generation budget is exhausted.
   TuningResult run();
 
-  // --- stepping API (the `tuners::Tuner` face of the GA) -----------------
-  //
-  // `run()` is exactly `while (!exhausted()) observe_iteration(
-  // objective.evaluate_batch(begin_iteration()))` plus the stopper, so an
-  // external driver interleaving the same calls reproduces `run()`
-  // bit-identically: the RNG draw order (initial population, then one
-  // breeding pass per generation) and the evaluate_batch sequence are the
-  // same whichever loop issues them.
+  // --- Tuner ---------------------------------------------------------------
+
+  std::string name() const override { return "ga"; }
 
   /// Breeds (or initializes) the coming generation's population, consults
   /// the subset provider, partitions the population against the fitness
   /// cache, and returns the configurations that need fresh evaluation —
   /// possibly empty when every individual is a cache hit (the generation
-  /// still advances on `observe_iteration`).
-  std::vector<cfg::Configuration> begin_iteration();
+  /// still advances on `observe`).
+  std::vector<cfg::Configuration> propose() override;
 
   /// Accepts evaluations for exactly the configurations the last
-  /// `begin_iteration` returned (same order). Updates bests, history and
-  /// metrics; returns the simulated seconds billed to the budget.
-  double observe_iteration(const std::vector<Evaluation>& fresh);
+  /// `propose` returned (same order). Updates bests, history and
+  /// metrics.
+  void observe(const std::vector<Evaluation>& fresh) override;
 
-  /// Tuning progress so far (valid after the first `observe_iteration`).
-  const TuningResult& progress() const { return result_; }
+  /// Tuning progress so far (valid after the first `observe`).
+  const TuningResult& progress() const override { return result_; }
 
-  /// True once `max_generations` generations have been observed.
-  bool exhausted() const { return exhausted_; }
+  /// True once `max_generations` generations have been observed or the
+  /// driver finished the search.
+  bool done() const override { return done_; }
 
-  /// Records that an external stopper terminated the search.
-  void mark_early_stopped();
+  void finish(bool early_stopped) override;
 
  private:
   using Genome = std::vector<std::size_t>;
@@ -140,7 +119,6 @@ class GeneticTuner {
   GaOptions options_;
   Rng rng_;
   SubsetProvider subset_provider_;
-  Stopper stopper_;
   /// Caches the *full* evaluation (perf and simulated cost), keyed by
   /// genome. Hits re-use the perf and bill zero seconds to the budget —
   /// the same accounting the service-layer result cache uses, so a run
@@ -156,8 +134,8 @@ class GeneticTuner {
   double cumulative_seconds_ = 0.0;
   unsigned generation_ = 0;  ///< generation currently in flight
   bool initialized_ = false;
-  bool exhausted_ = false;
-  bool pending_ = false;  ///< begin_iteration issued, observe outstanding
+  bool done_ = false;
+  bool pending_ = false;  ///< propose issued, observe outstanding
   std::vector<std::size_t> subset_;       ///< this generation's free genes
   std::vector<std::size_t> last_subset_;  ///< masks the *next* breeding
   std::vector<std::size_t> batch_slot_;   ///< population index per batch entry

@@ -1,7 +1,7 @@
 // Baseline stopping policies the paper compares TunIO against.
 #pragma once
 
-#include "tuner/genetic_tuner.hpp"
+#include "tuner/tuner.hpp"
 
 namespace tunio::tuner {
 

@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "config/space.hpp"
-#include "tuners/tuner.hpp"
+#include "tuner/tuner.hpp"
 
 namespace tunio::tuners {
 
-class TunerBase : public Tuner {
+class TunerBase : public tuner::Tuner {
  public:
   TunerBase(std::string backend_name, const cfg::ConfigSpace& space);
 

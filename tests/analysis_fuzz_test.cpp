@@ -4,10 +4,12 @@
 // flowing into I/O) and cross-checks every layer against the
 // interpreter as ground truth:
 //
-//   1. the slicer's kept set is a subset of the legacy marker's,
+//   1. the slicer's kept set is a subset of the legacy marker's (the
+//      test-only oracle of oracle/oracle.hpp), and it is exactly what
+//      discovery keeps,
 //   2. the sliced kernel performs exactly the application's I/O,
 //   3. predicted cost intervals contain the measured op/byte counts,
-//   4. the taint gate is monotone w.r.t. the slicer verdict, and
+//   4. the taint gate is monotone w.r.t. the slicer-verdict oracle, and
 //   5. taint-invariant programs record bit-identical op traces under
 //      two extreme configurations (the property the replay fast path
 //      relies on).
@@ -23,6 +25,7 @@
 
 #include "analysis/cost_model.hpp"
 #include "analysis/slicer.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "config/space.hpp"
 #include "config/stack_settings.hpp"
@@ -31,7 +34,7 @@
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
 #include "mpisim/mpisim.hpp"
-#include "obs/metrics.hpp"
+#include "oracle/oracle.hpp"
 #include "pfs/pfs.hpp"
 #include "replay/hooks.hpp"
 #include "replay/invariance.hpp"
@@ -363,9 +366,7 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
   const cfg::StackSettings narrow_settings = cfg::resolve(narrow);
   const cfg::StackSettings wide_settings = cfg::resolve(wide);
 
-  const obs::Counter& recovered =
-      obs::MetricsRegistry::global().counter("replay.gate.recovered");
-  const std::uint64_t recovered_before = recovered.value();
+  int recovered_programs = 0;
   int invariant_programs = 0;
   int dependent_programs = 0;
 
@@ -382,7 +383,7 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
     // (1) Slicer kept-set is a subset of the legacy marker's kept-set.
     const std::vector<std::string> prefixes = {"h5", "fprintf_log"};
     const analysis::SliceResult slice = analysis::slice_io(program, prefixes);
-    const std::set<int> legacy = discovery::mark_kept(program, prefixes);
+    const std::set<int> legacy = oracle::mark_kept(program, prefixes);
     EXPECT_TRUE(std::includes(legacy.begin(), legacy.end(),
                               slice.kept.begin(), slice.kept.end()))
         << "slicer kept a statement the legacy marker drops";
@@ -392,7 +393,8 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
     dopts.io_prefixes = prefixes;
     const discovery::KernelResult kernel_result =
         discovery::discover_io(program, dopts);
-    EXPECT_FALSE(kernel_result.used_fallback);
+    EXPECT_EQ(kernel_result.kept_stmt_ids, slice.kept)
+        << "discovery did not keep exactly the slicer's statements";
     const minic::Program kernel = minic::parse(kernel_result.kernel_source);
     const replay::AppIoCounts full_counts =
         replay::app_io_counts(record(program, cfg::default_settings()));
@@ -421,10 +423,12 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
     const replay::InvarianceReport report =
         replay::analyze_invariance(program);
     EXPECT_FALSE(report.reason.empty());
+    const bool slicer_dependent = oracle::slicer_dependent(program);
     if (report.tainted_sites > 0) {
-      EXPECT_TRUE(report.slicer_dependent)
+      EXPECT_TRUE(slicer_dependent)
           << "taint found a dependent site the slicer missed";
     }
+    if (!report.dependent && slicer_dependent) ++recovered_programs;
 
     // (5) Taint-invariant programs record bit-identical op streams under
     // two extreme configurations — the exact soundness property the
@@ -445,9 +449,35 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
   // the slicer rejects but taint recovers.
   EXPECT_GT(invariant_programs, 0);
   EXPECT_GT(dependent_programs, 0);
-  EXPECT_GT(recovered.value(), recovered_before)
+  EXPECT_GT(recovered_programs, 0)
       << "no program exercised the taint-recovery (slicer-dependent but "
          "taint-invariant) path";
+}
+
+TEST(AnalysisFuzz, DiscoveredKernelsMatchGolden) {
+  // FNV-1a over every discovered kernel's source, in corpus order: any
+  // change to discovery's marking or reconstruction shows here. The
+  // slicer must accept every program: a throw here is a slicer bug.
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  int slicer_throws = 0;
+  discovery::DiscoveryOptions dopts;
+  dopts.io_prefixes = {"h5", "fprintf_log"};
+  for (int seed = 1; seed <= kNumPrograms; ++seed) {
+    Generator generator(0xF022'0000u + static_cast<std::uint64_t>(seed));
+    const minic::Program program =
+        minic::parse(minic::print(minic::parse(generator.generate())));
+    try {
+      analysis::slice_io(program, dopts.io_prefixes);
+    } catch (const Error&) {
+      ++slicer_throws;
+    }
+    for (char c : discovery::discover_io(program, dopts).kernel_source) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 0x100000001B3ULL;
+    }
+  }
+  EXPECT_EQ(slicer_throws, 0);
+  EXPECT_EQ(hash, 0xE9625EBED573D022ULL);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "core/early_stopping.hpp"
+#include "core/pipeline.hpp"
 #include "core/roti.hpp"
 #include "core/smart_config.hpp"
 #include "config/xml.hpp"
@@ -283,7 +284,7 @@ TEST(TunIO, DiscoverIoHonorsPerCallOptions) {
   EXPECT_EQ(kernel.loop_reduction_divisor, 10);
 }
 
-TEST(TunIO, AttachWiresHooksIntoTuner) {
+TEST(TunIO, PipelineWiresHooksIntoTuner) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   TunIO tunio(space);
 
@@ -300,9 +301,10 @@ TEST(TunIO, AttachWiresHooksIntoTuner) {
   tuner::GaOptions ga;
   ga.max_generations = 6;
   ga.population = 8;
-  tuner::GeneticTuner tuning(space, *objective, ga);
-  tunio.attach(tuning);
-  const tuner::TuningResult result = tuning.run();
+  const tuner::TuningResult result =
+      run_pipeline(space, *objective, &tunio,
+                   {"TunIO", /*impact_first=*/true, StopPolicy::kTunio}, ga)
+          .result;
   EXPECT_GE(result.generations_run, 1u);
   // Generation 0 tunes the full space; later generations use subsets.
   EXPECT_EQ(result.history.front().subset.size(), space.num_parameters());

@@ -1,6 +1,8 @@
 // Tests for Application I/O Discovery: the marking loop (I/O calls,
 // dependents, backward slices, contextual parents), kernel
-// reconstruction, loop reduction and I/O path switching.
+// reconstruction, loop reduction and I/O path switching. The Marking
+// suite exercises the name-based marker that survives as the test-only
+// oracle (oracle/oracle.hpp); discovery itself marks with the slicer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include "interp/interp.hpp"
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
+#include "oracle/oracle.hpp"
 #include "workloads/sources.hpp"
 
 namespace tunio::discovery {
@@ -45,7 +48,7 @@ int main()
 
 TEST(Marking, KeepsIoCallsAndTheirDependents) {
   const minic::Program program = minic::parse(kFigure5Like);
-  const std::set<int> kept = mark_kept(program, {"h5"});
+  const std::set<int> kept = oracle::mark_kept(program, {"h5"});
   const std::string kernel = minic::print(
       program, [&](const minic::Stmt& s) { return kept.count(s.id) > 0; });
   // I/O calls and their dependency chain survive.
@@ -62,7 +65,7 @@ TEST(Marking, KeepsIoCallsAndTheirDependents) {
 
 TEST(Marking, DropsComputeAndLogging) {
   const minic::Program program = minic::parse(kFigure5Like);
-  const std::set<int> kept = mark_kept(program, {"h5"});
+  const std::set<int> kept = oracle::mark_kept(program, {"h5"});
   const std::string kernel = minic::print(
       program, [&](const minic::Stmt& s) { return kept.count(s.id) > 0; });
   EXPECT_EQ(kernel.find("compute"), std::string::npos);
@@ -86,7 +89,7 @@ TEST(Marking, BackwardSliceFollowsReassignments) {
       return 0;
     }
   )");
-  const std::set<int> kept = mark_kept(program, {"h5"});
+  const std::set<int> kept = oracle::mark_kept(program, {"h5"});
   const std::string kernel = minic::print(
       program, [&](const minic::Stmt& s) { return kept.count(s.id) > 0; });
   // Both assignments of n (an I/O-call dependency) are kept...
@@ -110,7 +113,7 @@ TEST(Marking, IfConditionIsDependent) {
       return 0;
     }
   )");
-  const std::set<int> kept = mark_kept(program, {"h5"});
+  const std::set<int> kept = oracle::mark_kept(program, {"h5"});
   const std::string kernel = minic::print(
       program, [&](const minic::Stmt& s) { return kept.count(s.id) > 0; });
   EXPECT_NE(kernel.find("if (enabled > 0)"), std::string::npos);
@@ -290,23 +293,31 @@ TEST_P(MarkingFixpoint, KernelOfKernelKeepsAll) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, MarkingFixpoint,
                          ::testing::Range(0, 5));
 
-// --- marking engines -------------------------------------------------------
+// --- marking engine and legacy oracle -------------------------------------
+
+/// `program` after discover_io's normalization round-trip, so statement
+/// ids match the ones discovery reports.
+minic::Program normalized(const std::string& source) {
+  return minic::parse(minic::print(minic::parse(source)));
+}
 
 TEST(Engines, SlicerIsDefaultAndDoesNotFallBack) {
+  // Discovery keeps exactly the slicer's statements.
   KernelResult result = discover_io(std::string(kFigure5Like), {});
-  EXPECT_EQ(result.engine_used, MarkingEngine::kDataflowSlicer);
-  EXPECT_FALSE(result.used_fallback);
+  EXPECT_EQ(result.kept_stmt_ids,
+            analysis::slice_io(normalized(kFigure5Like), {"h5"}).kept);
 }
 
 TEST(Engines, LegacyMarkerCanBeRequested) {
-  DiscoveryOptions options;
-  options.engine = MarkingEngine::kLegacyMarker;
-  KernelResult legacy = discover_io(std::string(kFigure5Like), options);
-  EXPECT_EQ(legacy.engine_used, MarkingEngine::kLegacyMarker);
-  EXPECT_FALSE(legacy.used_fallback);
-  // On this source both engines agree; the legacy kernel is never smaller.
+  // The legacy marker lives on as a test oracle; on this source both
+  // agree, and the legacy kept set is never smaller.
+  const std::set<int> legacy =
+      oracle::mark_kept(normalized(kFigure5Like), {"h5"});
   KernelResult precise = discover_io(std::string(kFigure5Like), {});
-  EXPECT_GE(legacy.kept_statements, precise.kept_statements);
+  EXPECT_GE(static_cast<int>(legacy.size()), precise.kept_statements);
+  EXPECT_TRUE(std::includes(legacy.begin(), legacy.end(),
+                            precise.kept_stmt_ids.begin(),
+                            precise.kept_stmt_ids.end()));
 }
 
 TEST(Engines, SlicerIsStrictlyMorePreciseOnDeadReassignment) {
@@ -322,15 +333,20 @@ TEST(Engines, SlicerIsStrictlyMorePreciseOnDeadReassignment) {
       return 0;
     }
   )";
-  KernelResult precise = discover_io(std::string(source), {});
-  DiscoveryOptions legacy_options;
-  legacy_options.engine = MarkingEngine::kLegacyMarker;
-  KernelResult legacy = discover_io(std::string(source), legacy_options);
+  const minic::Program program = normalized(source);
+  const std::set<int> precise = analysis::slice_io(program, {"h5"}).kept;
+  const std::set<int> legacy = oracle::mark_kept(program, {"h5"});
+  auto print_kept = [&](const std::set<int>& kept) {
+    return minic::print(
+        program, [&](const minic::Stmt& s) { return kept.count(s.id) > 0; });
+  };
   // The legacy marker keeps the dead `n = 99` (n is a dependent name);
   // the slicer proves it reaches no use.
-  EXPECT_NE(legacy.kernel_source.find("n = 99;"), std::string::npos);
-  EXPECT_EQ(precise.kernel_source.find("n = 99;"), std::string::npos);
-  EXPECT_LT(precise.kept_statements, legacy.kept_statements);
+  EXPECT_NE(print_kept(legacy).find("n = 99;"), std::string::npos);
+  EXPECT_EQ(print_kept(precise).find("n = 99;"), std::string::npos);
+  EXPECT_LT(precise.size(), legacy.size());
+  // Discovery's kernel is the slicer's.
+  EXPECT_EQ(discover_io(std::string(source), {}).kept_stmt_ids, precise);
 }
 
 TEST(Engines, ManualKeepWorksWithSlicer) {
@@ -353,7 +369,9 @@ TEST(Engines, ManualKeepWorksWithSlicer) {
   DiscoveryOptions options;
   options.manual_keep.insert(decl_id);
   KernelResult result = discover_io(program, options);
-  EXPECT_EQ(result.engine_used, MarkingEngine::kDataflowSlicer);
+  std::set<int> expected = analysis::slice_io(program, {"h5"}).kept;
+  expected.insert(decl_id);
+  EXPECT_EQ(result.kept_stmt_ids, expected);
   EXPECT_NE(result.kernel_source.find("double important = 1.5;"),
             std::string::npos);
 }
@@ -366,13 +384,10 @@ TEST_P(SlicerDifferential, SlicerKeptIsSubsetOfLegacyKept) {
   const std::string sources[] = {
       wl::sources::macsio_vpic(), wl::sources::vpic(), wl::sources::flash(),
       wl::sources::hacc(), wl::sources::bdcats()};
-  // Mirror discover_io's normalization round-trip so both engines see
-  // the exact same statement ids.
-  const minic::Program program =
-      minic::parse(minic::print(minic::parse(sources[GetParam()])));
+  const minic::Program program = normalized(sources[GetParam()]);
   const std::set<int> slicer_kept =
       analysis::slice_io(program, {"h5"}).kept;
-  const std::set<int> legacy_kept = mark_kept(program, {"h5"});
+  const std::set<int> legacy_kept = oracle::mark_kept(program, {"h5"});
   EXPECT_TRUE(std::includes(legacy_kept.begin(), legacy_kept.end(),
                             slicer_kept.begin(), slicer_kept.end()))
       << "slicer kept a statement the legacy marker drops";
@@ -398,7 +413,8 @@ TEST_P(SlicerFidelity, KernelIoMetricsMatchFullApplication) {
   DiscoveryOptions options;
   options.io_prefixes = {"h5", "fprintf_log"};
   KernelResult kernel = discover_io(source, options);
-  EXPECT_EQ(kernel.engine_used, MarkingEngine::kDataflowSlicer);
+  EXPECT_EQ(kernel.kept_stmt_ids,
+            analysis::slice_io(normalized(source), options.io_prefixes).kept);
 
   auto run = [](const minic::Program& program) {
     mpisim::MpiSim mpi(8);

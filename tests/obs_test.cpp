@@ -141,7 +141,7 @@ TEST(Metrics, HistogramBucketsAndExemplar) {
 TEST(Metrics, AddBucketedMergesTeardownFlushes) {
   MetricsRegistry registry;
   Histogram& h = registry.histogram("sizes", darshan_size_bounds());
-  const std::size_t buckets = darshan_size_bounds().size() + 1;
+  const std::size_t buckets = kDarshanSizeBuckets;
   std::vector<std::uint64_t> counts(buckets, 0);
   counts[0] = 7;
   counts[buckets - 1] = 2;

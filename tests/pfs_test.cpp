@@ -270,6 +270,28 @@ TEST(SizeHistogram, BucketsAndLabels) {
   EXPECT_EQ(h.total(), 0u);
 }
 
+TEST(SizeHistogram, BucketsLikeTheRegistryAtEveryLimit) {
+  // The PFS bucketing and the registry histograms it publishes into read
+  // the same Darshan limits, so both split each limit the same way.
+  for (std::size_t i = 0; i < obs::kDarshanSizeLimits.size(); ++i) {
+    const Bytes limit = obs::kDarshanSizeLimits[i];
+    SizeHistogram h;
+    h.record(limit - 1);
+    h.record(limit);
+    EXPECT_EQ(h.counts[i], 1u) << "limit " << i;
+    EXPECT_EQ(h.counts[i + 1], 1u) << "limit " << i;
+
+    obs::MetricsRegistry registry;
+    obs::Histogram& observed =
+        registry.histogram("sizes", obs::darshan_size_bounds());
+    observed.observe(static_cast<double>(limit - 1));
+    observed.observe(static_cast<double>(limit));
+    const std::vector<std::uint64_t> expected(h.counts.begin(),
+                                              h.counts.end());
+    EXPECT_EQ(registry.snapshot().histogram("sizes")->counts, expected);
+  }
+}
+
 TEST(PfsSimulator, CountersRecordAccessSizes) {
   PfsSimulator fs;
   fs.create("/h", 0.0);

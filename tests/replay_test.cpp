@@ -21,6 +21,7 @@
 #include "minic/parser.hpp"
 #include "mpisim/mpisim.hpp"
 #include "obs/metrics.hpp"
+#include "oracle/oracle.hpp"
 #include "pfs/pfs.hpp"
 #include "replay/hooks.hpp"
 #include "replay/invariance.hpp"
@@ -323,7 +324,7 @@ int main() {
 // --- statement-granular taint gate ----------------------------------------
 
 /// A tuned read that is dead at every op site *by value flow*, but which
-/// the PR-4 slicer keeps (its scope-level rule sees `s` reach the write
+/// the def-use slicer keeps (its scope-level rule sees `s` reach the write
 /// without noticing the overwrite kills the tuned value). The taint gate
 /// must recover it for the fast path.
 const char* kTaintRecoverableKernel = R"(
@@ -339,16 +340,16 @@ int main() {
 )";
 
 TEST(TaintGate, RecoversOverwrittenTunedRead) {
-  obs::Counter& recovered =
-      obs::MetricsRegistry::global().counter("replay.gate.recovered");
-  const std::uint64_t before = recovered.value();
-  const replay::InvarianceReport report =
-      replay::analyze_invariance(minic::parse(kTaintRecoverableKernel));
+  obs::Counter& invariant =
+      obs::MetricsRegistry::global().counter("replay.gate.invariant");
+  const std::uint64_t before = invariant.value();
+  const minic::Program program = minic::parse(kTaintRecoverableKernel);
+  const replay::InvarianceReport report = replay::analyze_invariance(program);
   EXPECT_FALSE(report.dependent) << report.reason;
   EXPECT_FALSE(report.unanalyzable);
-  // The def-use slicer rejected this program; taint admitted it.
-  EXPECT_TRUE(report.slicer_dependent);
-  EXPECT_EQ(recovered.value() - before, 1u);
+  // The def-use slicer oracle rejects this program; taint admitted it.
+  EXPECT_TRUE(oracle::slicer_dependent(program));
+  EXPECT_EQ(invariant.value() - before, 1u);
 }
 
 TEST(TaintGate, ReportNamesTheTaintedSite) {

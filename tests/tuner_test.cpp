@@ -264,10 +264,11 @@ TEST(GeneticTuner, StopperTerminatesRun) {
   GaOptions ga;
   ga.max_generations = 50;
   GeneticTuner tuner(space, objective, ga);
-  tuner.set_stopper([](unsigned generation, const TuningResult&) {
+  DriveOptions options;
+  options.stopper = [](unsigned generation, const TuningResult&) {
     return generation >= 7;
-  });
-  const TuningResult result = tuner.run();
+  };
+  const TuningResult result = drive(tuner, objective, options).tuning;
   EXPECT_TRUE(result.early_stopped);
   EXPECT_EQ(result.generations_run, 8u);
 }

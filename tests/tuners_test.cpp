@@ -1,7 +1,7 @@
-// Tests for the pluggable tuner backends: GA-adapter bit-identity with
-// the genetic pipeline, BO/rule search quality and determinism, the
-// registry, the drive() harness, and backend selection in the pipeline
-// and the tuning service.
+// Tests for the pluggable tuner backends: the registry-built GA against
+// `GeneticTuner` run directly, BO/rule search quality and determinism,
+// the registry, the drive() harness, and backend selection in the
+// pipeline and the tuning service.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +15,8 @@
 #include "service/tuning_server.hpp"
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/stoppers.hpp"
+#include "tuner/tuner.hpp"
 #include "tuners/bo_tuner.hpp"
-#include "tuners/ga_adapter.hpp"
 #include "tuners/random_tuner.hpp"
 #include "tuners/registry.hpp"
 #include "tuners/rule_tuner.hpp"
@@ -24,6 +24,10 @@
 
 namespace tunio::tuners {
 namespace {
+
+using tuner::drive;
+using tuner::DriveOptions;
+using tuner::DriveResult;
 
 tuner::TestbedOptions small_testbed(std::uint64_t seed = 0xC0FFEE) {
   tuner::TestbedOptions tb;
@@ -123,9 +127,12 @@ void expect_identical_results(const tuner::TuningResult& a,
   }
 }
 
-// --- GA adapter bit-identity --------------------------------------------
+// --- GA backend ----------------------------------------------------------
 
-TEST(GaAdapter, BitIdenticalToRunOnAllSeedWorkloads) {
+TEST(GaBackend, RegistryGaMatchesRunOnAllSeedWorkloads) {
+  // The registry path the pipeline and the server use reproduces a
+  // directly constructed GA's `run()`: `spec_from_ga` and `make_tuner`
+  // hand the GA exactly its options.
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   for (const std::string which :
        {"hacc", "flash", "vpic", "macsio", "bdcats"}) {
@@ -137,34 +144,39 @@ TEST(GaAdapter, BitIdenticalToRunOnAllSeedWorkloads) {
     const tuner::TuningResult expected = direct.run();
 
     auto driven_objective = workload_objective(which, 42);
-    GaTunerAdapter adapter(space, *driven_objective, small_ga());
-    const DriveResult driven = drive(adapter, *driven_objective);
+    auto ga = make_tuner("ga", space, *driven_objective,
+                         spec_from_ga(small_ga()));
+    const DriveResult driven = drive(*ga, *driven_objective);
 
     SCOPED_TRACE(which);
     expect_identical_results(expected, driven.tuning);
   }
 }
 
-TEST(GaAdapter, BitIdenticalUnderStopper) {
+TEST(GaBackend, RegistryGaMatchesDirectGaUnderStopper) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
-  auto direct_objective = workload_objective("hacc", 7);
   tuner::GaOptions ga = small_ga(0xABC);
   ga.max_generations = 12;
-  tuner::GeneticTuner direct(space, *direct_objective, ga);
-  direct.set_stopper(tuner::make_heuristic_stopper());
-  const tuner::TuningResult expected = direct.run();
-
-  auto driven_objective = workload_objective("hacc", 7);
-  GaTunerAdapter adapter(space, *driven_objective, ga);
   DriveOptions options;
   options.stopper = tuner::make_heuristic_stopper();
-  const DriveResult driven = drive(adapter, *driven_objective, options);
 
-  expect_identical_results(expected, driven.tuning);
+  auto direct_objective = workload_objective("hacc", 7);
+  tuner::GeneticTuner direct(space, *direct_objective, ga);
+  const DriveResult expected =
+      drive(direct, *direct_objective, options);
+
+  auto driven_objective = workload_objective("hacc", 7);
+  auto backend =
+      make_tuner("ga", space, *driven_objective, spec_from_ga(ga));
+  const DriveResult driven =
+      drive(*backend, *driven_objective, options);
+
+  EXPECT_TRUE(expected.tuning.early_stopped);
+  expect_identical_results(expected.tuning, driven.tuning);
 }
 
-TEST(GaAdapter, RunMatchesManualSteppingLoop) {
-  // The stepping API itself reproduces run(): drive the GA by hand.
+TEST(GaBackend, RunMatchesManualSteppingLoop) {
+  // The Tuner interface itself reproduces run(): drive the GA by hand.
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   auto a = workload_objective("vpic", 3);
   tuner::GeneticTuner direct(space, *a, small_ga());
@@ -172,9 +184,9 @@ TEST(GaAdapter, RunMatchesManualSteppingLoop) {
 
   auto b = workload_objective("vpic", 3);
   tuner::GeneticTuner stepped(space, *b, small_ga());
-  while (!stepped.exhausted()) {
-    const std::vector<cfg::Configuration> batch = stepped.begin_iteration();
-    stepped.observe_iteration(b->evaluate_batch(batch));
+  while (!stepped.done()) {
+    const std::vector<cfg::Configuration> batch = stepped.propose();
+    stepped.observe(b->evaluate_batch(batch));
   }
   expect_identical_results(expected, stepped.progress());
 }
