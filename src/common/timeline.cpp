@@ -1,22 +1,8 @@
 #include "common/timeline.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace tunio {
-
-ResourceTimeline::Grant ResourceTimeline::acquire(SimSeconds earliest_start,
-                                                  SimSeconds duration) {
-  TUNIO_CHECK_MSG(duration >= 0.0, "negative service duration");
-  Grant grant;
-  grant.begin = std::max(earliest_start, next_free_);
-  grant.end = grant.begin + duration;
-  next_free_ = grant.end;
-  busy_time_ += duration;
-  ++grants_;
-  return grant;
-}
 
 void ResourceTimeline::reset() {
   next_free_ = 0.0;
@@ -29,17 +15,6 @@ SharedChannel::SharedChannel(Bps aggregate_bandwidth,
     : bandwidth_(aggregate_bandwidth), latency_(message_latency) {
   TUNIO_CHECK_MSG(aggregate_bandwidth > 0.0, "channel bandwidth must be > 0");
   TUNIO_CHECK_MSG(message_latency >= 0.0, "negative channel latency");
-}
-
-SimSeconds SharedChannel::transfer(SimSeconds start, Bytes bytes) {
-  // The channel's aggregate bandwidth is consumed in arrival order: a
-  // transfer cannot begin draining before earlier traffic has drained.
-  const SimSeconds drain = static_cast<double>(bytes) / bandwidth_;
-  const SimSeconds begin = std::max(start, horizon_);
-  horizon_ = begin + drain;
-  bytes_moved_ += bytes;
-  ++transfers_;
-  return begin + latency_ + drain;
 }
 
 void SharedChannel::reset() {

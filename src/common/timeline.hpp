@@ -13,8 +13,10 @@
 // utilization is tracked so that sustained overload stretches transfers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace tunio {
@@ -30,7 +32,16 @@ class ResourceTimeline {
   /// Requests `duration` seconds of exclusive service starting no earlier
   /// than `earliest_start`. Returns the granted [begin, end) interval and
   /// advances the resource's busy horizon.
-  Grant acquire(SimSeconds earliest_start, SimSeconds duration);
+  Grant acquire(SimSeconds earliest_start, SimSeconds duration) {
+    TUNIO_CHECK_MSG(duration >= 0.0, "negative service duration");
+    Grant grant;
+    grant.begin = std::max(earliest_start, next_free_);
+    grant.end = grant.begin + duration;
+    next_free_ = grant.end;
+    busy_time_ += duration;
+    ++grants_;
+    return grant;
+  }
 
   /// The earliest time a new request could begin service.
   SimSeconds next_free() const { return next_free_; }
@@ -61,7 +72,16 @@ class SharedChannel {
   SharedChannel(Bps aggregate_bandwidth, SimSeconds message_latency);
 
   /// Schedules a transfer; returns its completion time.
-  SimSeconds transfer(SimSeconds start, Bytes bytes);
+  SimSeconds transfer(SimSeconds start, Bytes bytes) {
+    // The channel's aggregate bandwidth is consumed in arrival order: a
+    // transfer cannot begin draining before earlier traffic has drained.
+    const SimSeconds drain = static_cast<double>(bytes) / bandwidth_;
+    const SimSeconds begin = std::max(start, horizon_);
+    horizon_ = begin + drain;
+    bytes_moved_ += bytes;
+    ++transfers_;
+    return begin + latency_ + drain;
+  }
 
   Bytes bytes_moved() const { return bytes_moved_; }
   std::uint64_t transfers() const { return transfers_; }

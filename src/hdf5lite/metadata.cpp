@@ -70,14 +70,19 @@ void MetadataManager::meta_update(Bytes bytes) {
 
 void MetadataManager::meta_lookup(Bytes object_bytes) {
   ++lookup_counter_;
-  working_set_ = std::max(working_set_, working_set_ + 0);  // no-op clarity
-  const double p_miss = miss_probability();
-  // Deterministic spreading: every k-th lookup misses, where k ~ 1/p.
-  const bool miss =
-      p_miss > 0.0 &&
-      (lookup_counter_ % std::max<std::uint64_t>(
-           1, static_cast<std::uint64_t>(1.0 / std::max(p_miss, 1e-9)))) == 0;
-  if (!miss) {
+  // Deterministic spreading: every k-th lookup misses. The phase
+  // (lookup_counter_ % k) advances by one per lookup; k only moves with
+  // the working set, and the phase is recomputed only when it does.
+  if (miss_period_ > 0 && ++miss_phase_ == miss_period_) miss_phase_ = 0;
+  if (working_set_ != miss_period_working_set_) {
+    miss_period_working_set_ = working_set_;
+    const std::uint64_t period = miss_period();
+    if (period != miss_period_) {
+      miss_period_ = period;
+      miss_phase_ = period > 0 ? lookup_counter_ % period : 0;
+    }
+  }
+  if (miss_period_ == 0 || miss_phase_ != 0) {
     ++stats_.mdc_hits;
     return;
   }
@@ -113,12 +118,19 @@ void MetadataManager::flush() {
   staged_meta_bytes_ = 0;
 }
 
-double MetadataManager::miss_probability() const {
-  if (working_set_ == 0) return 0.0;
-  if (fapl_.mdc_nbytes >= working_set_) return 0.02;  // cold misses only
-  const double fit = static_cast<double>(fapl_.mdc_nbytes) /
-                     static_cast<double>(working_set_);
-  return std::clamp(1.0 - fit, 0.02, 1.0);
+std::uint64_t MetadataManager::miss_period() const {
+  if (working_set_ == 0) return 0;
+  // The probability that a lookup misses the cache: cold misses only
+  // while the working set fits, else the share that does not fit.
+  double p_miss = 0.02;
+  if (fapl_.mdc_nbytes < working_set_) {
+    const double fit = static_cast<double>(fapl_.mdc_nbytes) /
+                       static_cast<double>(working_set_);
+    p_miss = std::clamp(1.0 - fit, 0.02, 1.0);
+  }
+  // k ~ 1/p.
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(1.0 / std::max(p_miss, 1e-9)));
 }
 
 }  // namespace tunio::h5

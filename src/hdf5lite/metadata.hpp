@@ -67,9 +67,10 @@ class MetadataManager {
   const MetadataStats& stats() const { return stats_; }
 
  private:
-  /// Probability that a lookup misses the metadata cache, given the
-  /// current metadata working set vs. capacity.
-  double miss_probability() const;
+  /// Every k-th lookup misses the metadata cache, with k ~ 1/p for the
+  /// miss probability p of the current metadata working set vs.
+  /// capacity; 0 when no lookup misses (empty working set).
+  std::uint64_t miss_period() const;
 
   mpisim::MpiSim& mpi_;
   pfs::PfsSimulator& fs_;
@@ -83,6 +84,11 @@ class MetadataManager {
   Bytes staged_meta_offset_ = 0;  ///< start of the staged region
   Bytes working_set_ = 0;         ///< total live metadata bytes
   std::uint64_t lookup_counter_ = 0;  ///< deterministic miss spreading
+  /// `miss_period()` as of `miss_period_working_set_`, and
+  /// lookup_counter_ % miss_period_, both kept incrementally.
+  std::uint64_t miss_period_ = 0;
+  Bytes miss_period_working_set_ = 0;
+  std::uint64_t miss_phase_ = 0;
   MetadataStats stats_;
 };
 

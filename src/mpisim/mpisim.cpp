@@ -41,7 +41,10 @@ struct MpiMetrics {
 }  // namespace
 
 MpiSim::MpiSim(unsigned num_ranks, MpiProfile profile)
-    : profile_(profile), clocks_(num_ranks, 0.0) {
+    : profile_(profile),
+      clocks_(num_ranks, 0.0),
+      tree_latency_(profile_.hop_latency *
+                    std::ceil(std::log2(std::max(2u, size())))) {
   TUNIO_CHECK_MSG(num_ranks > 0, "MPI job needs at least one rank");
 }
 
@@ -77,16 +80,6 @@ unsigned MpiSim::num_nodes() const {
   return (size() + profile_.ranks_per_node - 1) / profile_.ranks_per_node;
 }
 
-SimSeconds MpiSim::clock(unsigned rank) const {
-  TUNIO_CHECK_MSG(rank < size(), "rank out of range");
-  return clocks_[rank];
-}
-
-void MpiSim::set_clock(unsigned rank, SimSeconds t) {
-  TUNIO_CHECK_MSG(rank < size(), "rank out of range");
-  clocks_[rank] = t;
-}
-
 void MpiSim::compute(unsigned rank, SimSeconds seconds) {
   TUNIO_CHECK_MSG(rank < size(), "rank out of range");
   TUNIO_CHECK_MSG(seconds >= 0.0, "negative compute time");
@@ -101,14 +94,9 @@ SimSeconds MpiSim::min_clock() const {
   return *std::min_element(clocks_.begin(), clocks_.end());
 }
 
-SimSeconds MpiSim::tree_latency() const {
-  const double levels = std::ceil(std::log2(std::max(2u, size())));
-  return profile_.hop_latency * levels;
-}
-
 void MpiSim::barrier() {
   const SimSeconds first = min_clock();
-  const SimSeconds leave = max_clock() + tree_latency();
+  const SimSeconds leave = max_clock() + tree_latency_;
   for (SimSeconds c : clocks_) sync_stall_seconds_ += leave - c;
   std::fill(clocks_.begin(), clocks_.end(), leave);
   note_collective("barrier", barriers_, first, leave, 0);
@@ -118,7 +106,7 @@ void MpiSim::allreduce(Bytes bytes) {
   const SimSeconds first = min_clock();
   const SimSeconds payload =
       2.0 * static_cast<double>(bytes) / profile_.link_bandwidth;
-  const SimSeconds leave = max_clock() + 2.0 * tree_latency() + payload;
+  const SimSeconds leave = max_clock() + 2.0 * tree_latency_ + payload;
   for (SimSeconds c : clocks_) sync_stall_seconds_ += leave - c;
   std::fill(clocks_.begin(), clocks_.end(), leave);
   note_collective("allreduce", allreduces_, first, leave, bytes * size());
@@ -130,7 +118,7 @@ void MpiSim::gather(unsigned root, Bytes bytes_per_rank) {
   const SimSeconds payload =
       static_cast<double>(bytes_per_rank) * (size() - 1) /
       profile_.link_bandwidth;
-  clocks_[root] = max_clock() + tree_latency() + payload;
+  clocks_[root] = max_clock() + tree_latency_ + payload;
   note_collective("gather", gathers_, first, clocks_[root],
                   bytes_per_rank * (size() - 1));
 }
@@ -140,7 +128,7 @@ void MpiSim::broadcast(unsigned root, Bytes bytes) {
   const SimSeconds first = clocks_[root];
   const SimSeconds payload =
       static_cast<double>(bytes) / profile_.link_bandwidth;
-  const SimSeconds leave = clocks_[root] + tree_latency() + payload;
+  const SimSeconds leave = clocks_[root] + tree_latency_ + payload;
   for (SimSeconds& c : clocks_) c = std::max(c, leave);
   note_collective("broadcast", broadcasts_, first, leave, bytes);
 }

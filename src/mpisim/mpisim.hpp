@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace tunio::mpisim {
@@ -38,8 +39,14 @@ class MpiSim {
   unsigned size() const { return static_cast<unsigned>(clocks_.size()); }
   unsigned num_nodes() const;
 
-  SimSeconds clock(unsigned rank) const;
-  void set_clock(unsigned rank, SimSeconds t);
+  SimSeconds clock(unsigned rank) const {
+    TUNIO_CHECK_MSG(rank < size(), "rank out of range");
+    return clocks_[rank];
+  }
+  void set_clock(unsigned rank, SimSeconds t) {
+    TUNIO_CHECK_MSG(rank < size(), "rank out of range");
+    clocks_[rank] = t;
+  }
 
   /// Advances one rank's clock by `seconds` of local compute.
   void compute(unsigned rank, SimSeconds seconds);
@@ -69,8 +76,6 @@ class MpiSim {
   const MpiProfile& profile() const { return profile_; }
 
  private:
-  SimSeconds tree_latency() const;
-
   /// Records one finished collective: counters plus, when tracing is on,
   /// a cat="mpi" span covering [first rank arrived, everyone left).
   void note_collective(const char* name, std::uint64_t& counter,
@@ -81,6 +86,9 @@ class MpiSim {
 
   MpiProfile profile_;
   std::vector<SimSeconds> clocks_;
+  /// Cost of one trip through the collective tree; the rank count is
+  /// fixed, so it is computed once.
+  SimSeconds tree_latency_;
 
   // Accumulated locally and flushed at teardown/reset so the collective
   // hot path stays free of shared atomics.

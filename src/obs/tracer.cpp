@@ -115,9 +115,4 @@ bool Tracer::write_file(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-Tracer& Tracer::global() {
-  static Tracer* tracer = new Tracer();  // never destroyed
-  return *tracer;
-}
-
 }  // namespace tunio::obs

@@ -96,7 +96,10 @@ class Tracer {
   bool write_file(const std::string& path) const;
 
   /// The process-wide tracer all built-in instrumentation records into.
-  static Tracer& global();
+  static Tracer& global() {
+    static Tracer* tracer = new Tracer();  // never destroyed
+    return *tracer;
+  }
 
   /// Ambient simulated time for layers without a clock of their own.
   /// Thread-local: concurrent tuning jobs each publish their own.

@@ -1,6 +1,7 @@
 #include "pfs/pfs.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -192,11 +193,6 @@ SimSeconds PfsSimulator::remove(const std::string& path, SimSeconds start) {
   return metadata_op(start);
 }
 
-SimSeconds PfsSimulator::metadata_op(SimSeconds start) {
-  ++counters_.metadata_ops;
-  return mds_.acquire(start, profile_.mds.op_latency).end;
-}
-
 SimSeconds PfsSimulator::memory_io(SimSeconds start, Bytes length) const {
   return start + profile_.memory.latency +
          static_cast<double>(length) / profile_.memory.bandwidth;
@@ -225,8 +221,12 @@ SimSeconds PfsSimulator::service_extent(File& file, const StripeExtent& extent,
     // Sequential appends are exempt — client page caches absorb streaming
     // partial blocks and flush them whole.
     const Bytes block = prof.rmw_block;
-    const Bytes head_pad = extent.object_offset % block;
-    const Bytes tail_end = (extent.object_offset + extent.length) % block;
+    const Bytes end = extent.object_offset + extent.length;
+    // The default 1 MiB block is a power of two: mask instead of divide.
+    const bool pow2 = std::has_single_bit(block);
+    const Bytes head_pad =
+        pow2 ? extent.object_offset & (block - 1) : extent.object_offset % block;
+    const Bytes tail_end = pow2 ? end & (block - 1) : end % block;
     Bytes pre_read = 0;
     if (head_pad != 0) pre_read += head_pad;
     if (tail_end != 0 && extent.length + head_pad > tail_end) {
@@ -367,16 +367,6 @@ FileHandle PfsSimulator::handle_of(const std::string& path) const {
   auto it = index_.find(path);
   TUNIO_CHECK_MSG(it != index_.end(), "unknown file: " + path);
   return it->second;
-}
-
-PfsSimulator::File& PfsSimulator::file_at(FileHandle handle) {
-  TUNIO_CHECK_MSG(handle < files_.size(), "invalid file handle");
-  return files_[handle];
-}
-
-const PfsSimulator::File& PfsSimulator::file_at(FileHandle handle) const {
-  TUNIO_CHECK_MSG(handle < files_.size(), "invalid file handle");
-  return files_[handle];
 }
 
 PfsSimulator::File& PfsSimulator::lookup(const std::string& path) {

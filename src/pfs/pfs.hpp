@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/timeline.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
@@ -191,7 +192,10 @@ class PfsSimulator {
   SimSeconds remove(const std::string& path, SimSeconds start);
 
   /// A pure-metadata operation against the MDS (stat, attr update, ...).
-  SimSeconds metadata_op(SimSeconds start);
+  SimSeconds metadata_op(SimSeconds start) {
+    ++counters_.metadata_ops;
+    return mds_.acquire(start, profile_.mds.op_latency).end;
+  }
 
   /// Writes [offset, offset+length); returns completion time. The handle
   /// overload is the allocation- and hash-free hot path.
@@ -249,8 +253,14 @@ class PfsSimulator {
   File& lookup(const std::string& path);
   const File& lookup(const std::string& path) const;
   FileHandle handle_of(const std::string& path) const;
-  File& file_at(FileHandle handle);
-  const File& file_at(FileHandle handle) const;
+  File& file_at(FileHandle handle) {
+    TUNIO_CHECK_MSG(handle < files_.size(), "invalid file handle");
+    return files_[handle];
+  }
+  const File& file_at(FileHandle handle) const {
+    TUNIO_CHECK_MSG(handle < files_.size(), "invalid file handle");
+    return files_[handle];
+  }
 
   /// Services one per-OST extent; returns completion time.
   SimSeconds service_extent(File& file, const StripeExtent& extent,

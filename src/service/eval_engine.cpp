@@ -1,6 +1,7 @@
 #include "service/eval_engine.hpp"
 
 #include <exception>
+#include <memory>
 
 #include "obs/metrics.hpp"
 
@@ -24,6 +25,33 @@ obs::Counter& engine_batches_counter() {
 
 }  // namespace
 
+/// A batch in flight. Workers' queue entries may outlive the
+/// `evaluate_batch` call, so an entry that claims an index at or past
+/// `size` must touch nothing else: `objective`, `configs` and `results`
+/// belong to the caller, which returns once every index below `size` has
+/// been claimed and finished.
+struct EvalEngine::Batch {
+  Batch(tuner::Objective& objective,
+        const std::vector<cfg::Configuration>& configs,
+        std::vector<tuner::Evaluation>& results)
+      : objective(objective),
+        configs(configs),
+        results(results),
+        size(configs.size()),
+        remaining(configs.size()) {}
+
+  tuner::Objective& objective;
+  const std::vector<cfg::Configuration>& configs;
+  std::vector<tuner::Evaluation>& results;
+  const std::size_t size;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed index
+
+  std::mutex mutex;
+  std::condition_variable done;
+  std::size_t remaining;  ///< evaluations not yet finished
+  std::exception_ptr error;
+};
+
 EvalEngine::EvalEngine(EngineOptions options) {
   unsigned workers = options.workers;
   if (workers == 0) {
@@ -45,28 +73,35 @@ EvalEngine::~EvalEngine() {
   for (std::thread& t : threads_) t.join();
 }
 
-void EvalEngine::post(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
 void EvalEngine::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    std::shared_ptr<Batch> batch;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and drained
-      task = std::move(queue_.front());
+      batch = std::move(queue_.front());
       queue_.pop();
     }
-    task();
-    tasks_completed_.fetch_add(1, std::memory_order_relaxed);
-    engine_tasks_counter().add(1);
+    run_one(*batch);
   }
+}
+
+bool EvalEngine::run_one(Batch& batch) {
+  const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+  if (i >= batch.size) return false;
+  std::exception_ptr error;
+  try {
+    batch.results[i] = batch.objective.evaluate(batch.configs[i]);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  tasks_completed_.fetch_add(1, std::memory_order_relaxed);
+  engine_tasks_counter().add(1);
+  std::lock_guard<std::mutex> lock(batch.mutex);
+  if (error && !batch.error) batch.error = error;
+  if (--batch.remaining == 0) batch.done.notify_all();
+  return true;
 }
 
 std::vector<tuner::Evaluation> EvalEngine::evaluate_batch(
@@ -82,33 +117,21 @@ std::vector<tuner::Evaluation> EvalEngine::evaluate_batch(
     return results;
   }
 
-  struct BatchState {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining = 0;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->remaining = configs.size();
-
   std::vector<tuner::Evaluation> results(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    post([&objective, &configs, &results, state, i] {
-      std::exception_ptr error;
-      try {
-        results[i] = objective.evaluate(configs[i]);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(state->mutex);
-      if (error && !state->error) state->error = error;
-      if (--state->remaining == 0) state->done.notify_all();
-    });
+  auto batch = std::make_shared<Batch>(objective, configs, results);
+  // The caller is one evaluator, so the pool is offered the rest.
+  const std::size_t offered = configs.size() - 1;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < offered; ++i) queue_.push(batch);
   }
+  for (std::size_t i = 0; i < offered; ++i) work_ready_.notify_one();
 
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&] { return state->remaining == 0; });
-  if (state->error) std::rethrow_exception(state->error);
+  while (run_one(*batch)) {
+  }
+  std::unique_lock<std::mutex> lock(batch->mutex);
+  batch->done.wait(lock, [&] { return batch->remaining == 0; });
+  if (batch->error) std::rethrow_exception(batch->error);
   batches_completed_.fetch_add(1, std::memory_order_relaxed);
   engine_batches_counter().add(1);
   return results;

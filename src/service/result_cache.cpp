@@ -65,10 +65,10 @@ const ResultCache::Shard& ResultCache::shard_for(const Key& key) const {
 
 std::optional<tuner::Evaluation> ResultCache::get(
     std::uint64_t fingerprint, const std::vector<std::size_t>& genome) {
-  Key key{fingerprint, genome};
+  const Key key{fingerprint, genome};
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(&key);
   if (it == shard.index.end()) {
     ++shard.misses;
     CacheMetrics::get().misses.add(1);
@@ -89,18 +89,18 @@ void ResultCache::put(std::uint64_t fingerprint,
   Key key{fingerprint, genome};
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
+  auto it = shard.index.find(&key);
   if (it != shard.index.end()) {
     it->second->second = eval;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.emplace_front(key, eval);
-  shard.index.emplace(std::move(key), shard.lru.begin());
+  shard.lru.emplace_front(std::move(key), eval);
+  shard.index.emplace(&shard.lru.front().first, shard.lru.begin());
   ++shard.insertions;
   CacheMetrics::get().insertions.add(1);
   if (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().first);
+    shard.index.erase(&shard.lru.back().first);
     shard.lru.pop_back();
     ++shard.evictions;
     CacheMetrics::get().evictions.add(1);

@@ -82,12 +82,20 @@ class ResultCache {
   };
   struct KeyHash {
     std::size_t operator()(const Key& key) const;
+    std::size_t operator()(const Key* key) const { return (*this)(*key); }
+  };
+  struct KeyPtrEqual {
+    bool operator()(const Key* a, const Key* b) const { return *a == *b; }
   };
   struct Shard {
     mutable std::mutex mutex;
     /// Front = most recently used.
     std::list<std::pair<Key, tuner::Evaluation>> lru;
-    std::unordered_map<Key, decltype(lru)::iterator, KeyHash> index;
+    /// Keyed by the key inside its `lru` node (list nodes never move), so
+    /// each genome is stored once.
+    std::unordered_map<const Key*, decltype(lru)::iterator, KeyHash,
+                       KeyPtrEqual>
+        index;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;

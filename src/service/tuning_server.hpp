@@ -124,7 +124,9 @@ class TuningServer {
     std::uint64_t jobs_completed = 0;
     std::uint64_t jobs_cancelled = 0;
     std::uint64_t jobs_failed = 0;
-    std::uint64_t engine_evaluations = 0;  ///< tasks run on the pool
+    /// Evaluations the engine fanned out, run by the pool or by the
+    /// submitting job thread.
+    std::uint64_t engine_evaluations = 0;
     unsigned workers = 0;
     ResultCache::Stats cache;
   };

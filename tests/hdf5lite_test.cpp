@@ -375,6 +375,51 @@ TEST(MetadataManager, MdcCacheAbsorbsLookups) {
   EXPECT_GT(meta.stats().mdc_hits, 90u);
 }
 
+TEST(MetadataManager, MissSpreadingMatchesModuloReference) {
+  // Every k-th lookup misses, k ~ 1/p(working set). The manager keeps the
+  // phase incrementally; this replays the direct modulo over a working set
+  // that grows from empty through the cache size, so k runs from "never"
+  // through 50 down to 1.
+  mpisim::MpiSim mpi(4);
+  pfs::PfsSimulator fs;
+  fs.create("/f", 0.0);
+  FileAccessProps fapl;
+  fapl.mdc_nbytes = 16 * KiB;
+  fapl.coll_metadata_ops = true;
+  fapl.coll_metadata_write = true;
+  MetadataManager meta(mpi, fs, "/f", fapl);
+
+  Bytes working_set = 0;
+  std::uint64_t lookups = 0;
+  std::uint64_t expected_misses = 0;
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+  for (int step = 0; step < 5000; ++step) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    if ((state >> 60) == 0) {
+      const Bytes bytes = (state >> 20) % 4096;
+      meta.meta_update(bytes);
+      working_set += bytes;
+      continue;
+    }
+    meta.meta_lookup(512);
+    ++lookups;
+    if (working_set > 0) {
+      const double p_miss =
+          fapl.mdc_nbytes >= working_set
+              ? 0.02
+              : std::clamp(1.0 - static_cast<double>(fapl.mdc_nbytes) /
+                                     static_cast<double>(working_set),
+                           0.02, 1.0);
+      const std::uint64_t period = std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(1.0 / std::max(p_miss, 1e-9)));
+      expected_misses += lookups % period == 0;
+    }
+    ASSERT_EQ(meta.stats().mdc_misses, expected_misses) << "lookup " << lookups;
+  }
+  EXPECT_EQ(meta.stats().mdc_hits + meta.stats().mdc_misses, lookups);
+  EXPECT_GT(working_set, 32 * fapl.mdc_nbytes);
+}
+
 // --- Dataset / File -------------------------------------------------------
 
 struct Stack {

@@ -165,6 +165,26 @@ TEST(PfsSimulator, UnalignedWritePaysRmw) {
   EXPECT_GT(fs.counters().rmw_bytes, 0u);
 }
 
+TEST(PfsSimulator, RmwPaddingForPowerOfTwoAndOtherBlocks) {
+  // A first write of [100 KiB, 1636 KiB) in one stripe pre-reads the
+  // head of its first block and the tail of its last one.
+  const struct {
+    Bytes block;
+    Bytes pre_read;
+  } cases[] = {{1 * MiB, 100 * KiB + 412 * KiB},
+               {768 * KiB, 100 * KiB + 668 * KiB}};
+  for (const auto& c : cases) {
+    PfsProfile profile;
+    profile.ost.rmw_block = c.block;
+    PfsSimulator fs(profile);
+    CreateOptions one_stripe;
+    one_stripe.stripe_size = 64 * MiB;
+    fs.create("/f", 0.0, one_stripe);
+    fs.write("/f", 0.0, 100 * KiB, 1536 * KiB);
+    EXPECT_EQ(fs.counters().rmw_bytes, c.pre_read) << "block " << c.block;
+  }
+}
+
 TEST(PfsSimulator, SequentialAppendsSkipRmw) {
   PfsSimulator fs;
   fs.create("/log", 0.0);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -35,6 +36,7 @@
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/stoppers.hpp"
 #include "tuner/tuner.hpp"
+#include "tuners/bo_tuner.hpp"
 #include "workloads/sources.hpp"
 #include "workloads/workload.hpp"
 
@@ -255,6 +257,52 @@ TEST(SearchGolden, InteractiveSessionTwoSteps) {
   const tuner::TuningResult second = session.step(5);
   EXPECT_EQ(hash_of(first), "6ee78fb51766e5f8");
   EXPECT_EQ(hash_of(second), "f847f2a70408cd0c");
+}
+
+/// The separable synthetic objective of the tuner-backend tests: rewards
+/// striping_factor near 32 and collective metadata writes.
+class SyntheticObjective final : public tuner::Objective {
+ public:
+  std::string name() const override { return "synthetic"; }
+  tuner::Evaluation evaluate(const cfg::Configuration& config) override {
+    ++evals_;
+    const double stripes =
+        static_cast<double>(config.value("striping_factor"));
+    tuner::Evaluation eval;
+    eval.perf_mbps =
+        100.0 - std::abs(stripes - 32.0) +
+        10.0 * static_cast<double>(config.value("coll_metadata_write"));
+    eval.eval_seconds = 30.0;
+    return eval;
+  }
+  std::uint64_t evaluations() const override { return evals_; }
+
+ private:
+  std::uint64_t evals_ = 0;
+};
+
+TEST(SearchGolden, BoTunerLongDrives) {
+  // 40 iterations of 8 proposals cross the surrogate's 224-observation
+  // fit cap, so the pruning in `absorb` is pinned too.
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  const std::vector<std::string> expected = {
+      "f9e4c50b42b2b20c", "c21accc60284b8ba", "d32d3ead698ee3db",
+      "c134f45070e48b28"};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    tuners::BoOptions options;
+    options.seed = seed;
+    options.max_iterations = 40;
+    tuners::BoTuner bo(space, options);
+    SyntheticObjective objective;
+    const tuner::DriveResult run = tuner::drive(bo, objective);
+    BitHash hash;
+    hash.add(run.tuning);
+    hash.add_bits(run.fresh_evaluations);
+    for (std::uint64_t evals : run.evaluations) hash.add_bits(evals);
+    EXPECT_EQ(hash.hex(), expected[seed - 1])
+        << "seed " << seed << " iterations " << run.tuning.history.size()
+        << " observations " << bo.observations();
+  }
 }
 
 TEST(DiscoveryGolden, SeedKernelSources) {

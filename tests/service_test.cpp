@@ -4,10 +4,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "service/eval_engine.hpp"
 #include "service/result_cache.hpp"
 #include "service/service_objective.hpp"
@@ -124,7 +127,7 @@ TEST(EvalEngine, ParallelBatchMatchesSerial) {
   const std::vector<cfg::Configuration> configs = some_configs(space, 8);
   auto serial = hacc_objective();
   const std::vector<Evaluation> expected = serial->evaluate_batch(configs);
-  for (unsigned workers : {1u, 4u, 8u}) {
+  for (unsigned workers : {1u, 2u, 4u}) {
     EvalEngine engine(EngineOptions{workers});
     EXPECT_EQ(engine.workers(), workers);
     auto objective = hacc_objective();
@@ -163,6 +166,189 @@ TEST(EvalEngine, SharedAcrossConcurrentBatches) {
       EXPECT_EQ(r[i].perf_mbps, expected[i].perf_mbps);
     }
   }
+}
+
+/// Scores a configuration by submitting a two-config batch (the config
+/// and the defaults) to the engine it runs on and summing the results.
+class NestingObjective final : public tuner::Objective {
+ public:
+  NestingObjective(EvalEngine& engine, const cfg::ConfigSpace& space)
+      : engine_(engine), space_(space) {}
+
+  std::string name() const override { return "nesting"; }
+  Evaluation evaluate(const cfg::Configuration& config) override {
+    const std::vector<Evaluation> inner = engine_.evaluate_batch(
+        inner_, {config, space_.default_configuration()});
+    Evaluation eval;
+    eval.perf_mbps = inner[0].perf_mbps + inner[1].perf_mbps;
+    eval.eval_seconds = inner[0].eval_seconds + inner[1].eval_seconds;
+    return eval;
+  }
+  bool concurrent_safe() const override { return true; }
+  std::uint64_t evaluations() const override { return inner_.evaluations(); }
+
+ private:
+  EvalEngine& engine_;
+  const cfg::ConfigSpace& space_;
+  SyntheticObjective inner_;
+};
+
+TEST(EvalEngine, NestedBatchOnOneWorkerCompletes) {
+  // The only worker runs an outer evaluation whose inner batch it cannot
+  // also serve; the submitting thread evaluates that batch itself.
+  EvalEngine engine(EngineOptions{1});
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  const std::vector<cfg::Configuration> configs = some_configs(space, 4);
+  NestingObjective nesting(engine, space);
+  const std::vector<Evaluation> got = engine.evaluate_batch(nesting, configs);
+
+  SyntheticObjective serial;
+  const Evaluation defaults = serial.evaluate(space.default_configuration());
+  ASSERT_EQ(got.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(got[i].perf_mbps,
+              serial.evaluate(configs[i]).perf_mbps + defaults.perf_mbps);
+    EXPECT_EQ(got[i].eval_seconds, 60.0);
+  }
+  EXPECT_EQ(nesting.evaluations(), 2 * configs.size());
+}
+
+/// Evaluations block until `release()`; counts how many have started.
+class GateObjective final : public tuner::Objective {
+ public:
+  std::string name() const override { return "gate"; }
+  Evaluation evaluate(const cfg::Configuration&) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ++entered_;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return released_; });
+    Evaluation eval;
+    eval.perf_mbps = 1.0;
+    return eval;
+  }
+  bool concurrent_safe() const override { return true; }
+  std::uint64_t evaluations() const override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entered_;
+  }
+
+  /// Waits until `n` evaluations are blocked in `evaluate`.
+  bool wait_entered(std::uint64_t n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return changed_.wait_for(lock, std::chrono::seconds(30),
+                             [&] { return entered_ >= n; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable changed_;
+  std::uint64_t entered_ = 0;
+  bool released_ = false;
+};
+
+TEST(EvalEngine, BatchCompletesWhileTheOnlyWorkerIsBusy) {
+  const std::uint64_t tasks_before =
+      obs::MetricsRegistry::global().counter("service.engine.tasks").value();
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  {
+    EvalEngine engine(EngineOptions{1});
+    // Batch A holds both its caller and the only worker.
+    GateObjective gate;
+    std::vector<Evaluation> held;
+    std::thread holder([&] {
+      held = engine.evaluate_batch(gate, some_configs(space, 2));
+    });
+    ASSERT_TRUE(gate.wait_entered(2));
+
+    // Batch B runs entirely on its caller; the two entries it queued for
+    // the pool find nothing left when the worker reaches them.
+    const std::vector<cfg::Configuration> configs = some_configs(space, 3);
+    SyntheticObjective objective;
+    const std::vector<Evaluation> got = engine.evaluate_batch(objective, configs);
+    ASSERT_EQ(got.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      EXPECT_EQ(got[i].perf_mbps, objective.evaluate(configs[i]).perf_mbps);
+    }
+    EXPECT_EQ(gate.evaluations(), 2u);
+    EXPECT_TRUE(held.empty());  // A is still blocked
+
+    gate.release();
+    holder.join();
+    EXPECT_EQ(held.size(), 2u);
+    EXPECT_EQ(engine.tasks_completed(), 5u);
+    EXPECT_EQ(engine.batches_completed(), 2u);
+  }
+  // The engine has drained its queue on teardown: the empty claims were
+  // not counted as evaluations.
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().counter("service.engine.tasks").value() -
+          tasks_before,
+      5u);
+}
+
+TEST(EvalEngine, CountsEveryEvaluationWhereverItRan) {
+  const std::uint64_t tasks_before =
+      obs::MetricsRegistry::global().counter("service.engine.tasks").value();
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  std::uint64_t expected = 0;
+  {
+    EvalEngine engine(EngineOptions{2});
+    SyntheticObjective objective;
+    for (std::size_t n : {2u, 5u, 8u, 13u}) {
+      engine.evaluate_batch(objective, some_configs(space, n));
+      expected += n;
+      EXPECT_EQ(engine.tasks_completed(), expected);
+    }
+    EXPECT_EQ(objective.evaluations(), expected);
+    EXPECT_EQ(engine.batches_completed(), 4u);
+  }
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().counter("service.engine.tasks").value() -
+          tasks_before,
+      expected);
+}
+
+/// Throws from evaluations that run on the thread that built it.
+class ThrowsOnOwnerThread final : public tuner::Objective {
+ public:
+  std::string name() const override { return "throws-on-owner"; }
+  Evaluation evaluate(const cfg::Configuration& config) override {
+    if (std::this_thread::get_id() == owner_) {
+      throw Error("evaluation failed on the submitting thread");
+    }
+    return inner_.evaluate(config);
+  }
+  bool concurrent_safe() const override { return true; }
+  std::uint64_t evaluations() const override { return inner_.evaluations(); }
+
+ private:
+  std::thread::id owner_ = std::this_thread::get_id();
+  SyntheticObjective inner_;
+};
+
+TEST(EvalEngine, CallerRunEvaluationErrorIsRethrown) {
+  EvalEngine engine(EngineOptions{1});
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  // Four evaluations, three offered to the pool: the caller runs at
+  // least one of them, and that one throws.
+  ThrowsOnOwnerThread failing;
+  EXPECT_THROW(engine.evaluate_batch(failing, some_configs(space, 4)), Error);
+  EXPECT_EQ(engine.batches_completed(), 0u);
+
+  // The engine keeps serving.
+  const std::vector<cfg::Configuration> configs = some_configs(space, 6);
+  SyntheticObjective objective;
+  const std::vector<Evaluation> got = engine.evaluate_batch(objective, configs);
+  ASSERT_EQ(got.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(got[i].perf_mbps, objective.evaluate(configs[i]).perf_mbps);
+  }
+  EXPECT_EQ(engine.batches_completed(), 1u);
 }
 
 /// Same seed + same job ⇒ identical TuningResult for pool sizes 1/4/8,
@@ -220,6 +406,32 @@ TEST(ResultCache, HitMissAndLruEviction) {
   EXPECT_EQ(stats.entries, 4u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
   EXPECT_DOUBLE_EQ(stats.seconds_saved, 60.0);
+}
+
+TEST(ResultCache, ReinsertUpdatesInPlaceAndEvictedKeysComeBack) {
+  CacheOptions options;
+  options.capacity = 2;
+  options.shards = 1;
+  ResultCache cache(options);
+  const std::vector<std::size_t> g0{0}, g1{1}, g2{2};
+  Evaluation a;
+  a.perf_mbps = 1.0;
+  Evaluation b;
+  b.perf_mbps = 2.0;
+  cache.put(1, g0, a);
+  cache.put(1, g0, b);  // same key: updated, not duplicated
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.get(1, g0)->perf_mbps, 2.0);
+
+  cache.put(1, g1, a);
+  cache.put(1, g2, a);  // evicts g0
+  EXPECT_FALSE(cache.get(1, g0).has_value());
+  cache.put(1, g0, a);  // evicts g1
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.get(1, g1).has_value());
+  EXPECT_EQ(cache.get(1, g0)->perf_mbps, 1.0);
+  EXPECT_TRUE(cache.get(1, g2).has_value());
+  EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
 TEST(ResultCache, FingerprintsNamespaceEntries) {
